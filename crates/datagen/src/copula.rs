@@ -14,7 +14,7 @@
 //! codes (frequency-preserving); generated codes map back to categories.
 
 use crate::matrix::{covariance_matrix, SquareMatrix};
-use crate::stats::{normal_cdf, EmpiricalDist};
+use crate::stats::{normal_cdf, standard_normal, EmpiricalDist};
 use idebench_storage::{Column, ColumnData, DataType, Table, TableBuilder, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -96,9 +96,7 @@ impl CopulaScaler {
         for _ in 0..n {
             // X ~ N(0, I)
             for xi in &mut x {
-                let u1: f64 = rng.random::<f64>().max(1e-12);
-                let u2: f64 = rng.random();
-                *xi = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                *xi = standard_normal(&mut rng);
             }
             // X̃ = A·X
             self.chol.mul_vec(&x, &mut xt);

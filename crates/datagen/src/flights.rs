@@ -12,9 +12,21 @@
 //!   with carrier-, airport- and rush-hour-dependent shifts.
 //! - Strong correlations: arrival delay tracks departure delay; air time
 //!   tracks route distance; states follow airports.
+//!
+//! # Construction and determinism
+//!
+//! [`generate`] writes each row straight into typed column buffers sized
+//! for `n` rows and assembles the [`Table`] once, with no per-row `Value`,
+//! string or hash lookup. Carriers, airports and states are ids in small
+//! fixed domains; each label (`"C03"`, `"A017"`, `"S05"`) is formatted and
+//! interned the first time its id appears, so nominal codes follow
+//! first-seen order. Equal `(n, seed)` gives an identical table across runs
+//! and versions; the crate's golden test (`tests/golden.rs`) pins every
+//! output bit.
 
-use crate::stats::{sample_cumulative, zipf_cumulative};
-use idebench_storage::{DataType, Table, TableBuilder, Value};
+use crate::domain::DomainCodes;
+use crate::stats::{sample_cumulative, standard_normal, zipf_cumulative};
+use idebench_storage::{Column, DataType, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,7 +58,6 @@ pub const SCHEMA: &[(&str, DataType)] = &[
 ];
 
 struct Airport {
-    code: String,
     state: usize,
     x: f64,
     y: f64,
@@ -64,7 +75,6 @@ struct World {
 fn build_world(rng: &mut StdRng) -> World {
     let airports = (0..NUM_AIRPORTS)
         .map(|i| Airport {
-            code: format!("A{i:03}"),
             state: i % NUM_STATES,
             x: rng.random::<f64>() * 2400.0,
             y: rng.random::<f64>() * 1400.0,
@@ -99,13 +109,6 @@ fn build_world(rng: &mut StdRng) -> World {
     }
 }
 
-/// One standard-normal draw (Box–Muller, using two uniforms).
-fn normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
 /// Exponential draw with the given mean.
 fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
     -rng.random::<f64>().max(1e-12).ln() * mean
@@ -113,12 +116,28 @@ fn exponential(rng: &mut StdRng, mean: f64) -> f64 {
 
 /// Generates `n` rows of synthetic flights with the given RNG seed.
 ///
-/// Deterministic: equal `(n, seed)` always produces an identical table.
+/// Deterministic: equal `(n, seed)` always produces an identical table,
+/// across versions too (the crate's golden test pins the output bits).
+/// Every row is written straight into typed column buffers; nominal codes
+/// are assigned in first-seen order.
 pub fn generate(n: usize, seed: u64) -> Table {
     let mut rng = StdRng::seed_from_u64(seed);
     let world = build_world(&mut rng);
-    let mut b = TableBuilder::with_fields(FLIGHTS_TABLE, SCHEMA);
-    let mut row: Vec<Value> = Vec::with_capacity(SCHEMA.len());
+    let airport_code = |a: usize| format!("A{a:03}");
+    let state_code = |s: usize| format!("S{s:02}");
+    let mut carriers = DomainCodes::new(NUM_CARRIERS, n, |c| format!("C{c:02}"));
+    let mut origins = DomainCodes::new(NUM_AIRPORTS, n, airport_code);
+    let mut origin_states = DomainCodes::new(NUM_STATES, n, state_code);
+    let mut dests = DomainCodes::new(NUM_AIRPORTS, n, airport_code);
+    let mut dest_states = DomainCodes::new(NUM_STATES, n, state_code);
+    let mut months = Vec::with_capacity(n);
+    let mut days_of_week = Vec::with_capacity(n);
+    let mut dep_times = Vec::with_capacity(n);
+    let mut dep_delays = Vec::with_capacity(n);
+    let mut arr_times = Vec::with_capacity(n);
+    let mut arr_delays = Vec::with_capacity(n);
+    let mut distances = Vec::with_capacity(n);
+    let mut air_times = Vec::with_capacity(n);
 
     for _ in 0..n {
         let carrier = sample_cumulative(&world.carrier_cum, rng.random());
@@ -143,9 +162,9 @@ pub fn generate(n: usize, seed: u64) -> Table {
         // Bimodal departure times: morning bank (8±1.8h) and evening bank
         // (17±2.2h), clamped to the day.
         let dep_time = if rng.random::<f64>() < 0.55 {
-            (8.0 + normal(&mut rng) * 1.8).clamp(0.0, 23.99)
+            (8.0 + standard_normal(&mut rng) * 1.8).clamp(0.0, 23.99)
         } else {
-            (17.0 + normal(&mut rng) * 2.2).clamp(0.0, 23.99)
+            (17.0 + standard_normal(&mut rng) * 2.2).clamp(0.0, 23.99)
         };
 
         // Departure delay: carrier + origin congestion + evening rush, with
@@ -158,7 +177,7 @@ pub fn generate(n: usize, seed: u64) -> Table {
         let base = world.carrier_delay_offset[carrier] + o.congestion * 0.6 + rush;
         let u: f64 = rng.random();
         let dep_delay = if u < 0.62 {
-            base - 4.0 + normal(&mut rng) * 4.5
+            base - 4.0 + standard_normal(&mut rng) * 4.5
         } else if u < 0.92 {
             base + exponential(&mut rng, 14.0)
         } else {
@@ -172,39 +191,47 @@ pub fn generate(n: usize, seed: u64) -> Table {
             ((dx * dx + dy * dy).sqrt() + 60.0 + rng.random::<f64>() * 30.0).max(80.0)
         };
         // ~7.6 miles/minute cruise plus taxi/approach overhead.
-        let air_time = distance / 7.6 + 18.0 + normal(&mut rng) * 6.0;
+        let air_time = distance / 7.6 + 18.0 + standard_normal(&mut rng) * 6.0;
         let air_time = air_time.max(20.0);
 
         // Arrival delay strongly tracks departure delay, with en-route
         // recovery and noise.
-        let arr_delay = dep_delay * 0.92 - 4.0 + normal(&mut rng) * 9.0;
+        let arr_delay = dep_delay * 0.92 - 4.0 + standard_normal(&mut rng) * 9.0;
         let arr_delay = (arr_delay * 10.0).round() / 10.0;
 
         let arr_time = (dep_time + air_time / 60.0 + arr_delay.max(0.0) / 60.0).rem_euclid(24.0);
 
-        row.clear();
-        row.push(Value::Str(format!("C{carrier:02}")));
-        row.push(Value::Str(o.code.clone()));
-        row.push(Value::Str(format!("S{:02}", o.state)));
-        row.push(Value::Str(d.code.clone()));
-        row.push(Value::Str(format!("S{:02}", d.state)));
-        row.push(Value::Int(month));
-        row.push(Value::Int(dow));
-        row.push(Value::Float((dep_time * 100.0).round() / 100.0));
-        row.push(Value::Float(dep_delay));
-        row.push(Value::Float((arr_time * 100.0).round() / 100.0));
-        row.push(Value::Float(arr_delay));
-        row.push(Value::Float(distance.round()));
-        row.push(Value::Float(air_time.round()));
-        b.push_row(&row).expect("schema and row agree");
+        carriers.push(carrier);
+        origins.push(origin);
+        origin_states.push(o.state);
+        dests.push(dest);
+        dest_states.push(d.state);
+        months.push(month);
+        days_of_week.push(dow);
+        dep_times.push((dep_time * 100.0).round() / 100.0);
+        dep_delays.push(dep_delay);
+        arr_times.push((arr_time * 100.0).round() / 100.0);
+        arr_delays.push(arr_delay);
+        distances.push(distance.round());
+        air_times.push(air_time.round());
     }
-    b.finish()
-}
-
-/// Alias for [`generate`], emphasizing the role of the table as the *seed*
-/// handed to the [`crate::CopulaScaler`].
-pub fn generate_seed(n: usize, seed: u64) -> Table {
-    generate(n, seed)
+    let columns = vec![
+        carriers.finish(),
+        origins.finish(),
+        origin_states.finish(),
+        dests.finish(),
+        dest_states.finish(),
+        Column::int(months),
+        Column::int(days_of_week),
+        Column::float(dep_times),
+        Column::float(dep_delays),
+        Column::float(arr_times),
+        Column::float(arr_delays),
+        Column::float(distances),
+        Column::float(air_times),
+    ];
+    Table::new(FLIGHTS_TABLE, Schema::from_pairs(SCHEMA), columns)
+        .expect("generated columns have equal lengths")
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! Supporting numerics live in [`stats`] and [`matrix`].
 
 pub mod copula;
+mod domain;
 pub mod flights;
 pub mod matrix;
 pub mod normalize;
@@ -27,5 +28,5 @@ pub mod orders;
 pub mod stats;
 
 pub use copula::CopulaScaler;
-pub use flights::{generate, generate_seed, FLIGHTS_TABLE};
+pub use flights::{generate, FLIGHTS_TABLE};
 pub use normalize::{normalize, normalize_flights};

@@ -5,9 +5,16 @@
 //! the flights data with a different distribution mix — long-tailed product
 //! popularity, log-normal prices, diurnal order times, and region-dependent
 //! shipping — used by the customizability example and tests.
+//!
+//! Construction and determinism follow [`crate::flights`]: rows go straight
+//! into typed column buffers, region/category/product labels are interned on
+//! first sight (so nominal codes follow first-seen order), and equal
+//! `(n, seed)` gives an identical table across runs and versions, pinned by
+//! the crate's golden test.
 
-use crate::stats::{sample_cumulative, zipf_cumulative};
-use idebench_storage::{DataType, Table, TableBuilder, Value};
+use crate::domain::DomainCodes;
+use crate::stats::{sample_cumulative, standard_normal, zipf_cumulative};
+use idebench_storage::{Column, DataType, Schema, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -34,13 +41,12 @@ pub const SCHEMA: &[(&str, DataType)] = &[
     ("ship_days", DataType::Float),
 ];
 
-fn normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-}
-
-/// Generates `n` synthetic orders with the given RNG seed. Deterministic.
+/// Generates `n` synthetic orders with the given RNG seed.
+///
+/// Deterministic: equal `(n, seed)` always produces an identical table,
+/// across versions too (the crate's golden test pins the output bits).
+/// Every row is written straight into typed column buffers; nominal codes
+/// are assigned in first-seen order.
 pub fn generate(n: usize, seed: u64) -> Table {
     // Salt keeps orders streams independent from equal-seed flights data.
     let mut rng = StdRng::seed_from_u64(seed ^ 0x04de_15a1);
@@ -48,13 +54,20 @@ pub fn generate(n: usize, seed: u64) -> Table {
     let region_cum = zipf_cumulative(NUM_REGIONS, 0.6);
     // Product base prices: log-normal, fixed per product.
     let base_price: Vec<f64> = (0..NUM_PRODUCTS)
-        .map(|_| (2.5 + normal(&mut rng) * 0.9).exp())
+        .map(|_| (2.5 + standard_normal(&mut rng) * 0.9).exp())
         .collect();
     // Region shipping base: farther regions ship slower.
     let ship_base: Vec<f64> = (0..NUM_REGIONS).map(|r| 1.5 + r as f64 * 0.7).collect();
 
-    let mut b = TableBuilder::with_fields(ORDERS_TABLE, SCHEMA);
-    let mut row: Vec<Value> = Vec::with_capacity(SCHEMA.len());
+    let mut regions = DomainCodes::new(NUM_REGIONS, n, |r| format!("R{r:02}"));
+    let mut categories = DomainCodes::new(NUM_CATEGORIES, n, |c| format!("CAT{c:02}"));
+    let mut products = DomainCodes::new(NUM_PRODUCTS, n, |p| format!("P{p:04}"));
+    let mut order_hours = Vec::with_capacity(n);
+    let mut quantities = Vec::with_capacity(n);
+    let mut unit_prices = Vec::with_capacity(n);
+    let mut discounts = Vec::with_capacity(n);
+    let mut revenues = Vec::with_capacity(n);
+    let mut shipping_days = Vec::with_capacity(n);
     for _ in 0..n {
         let product = sample_cumulative(&product_cum, rng.random());
         let category = product % NUM_CATEGORIES;
@@ -62,13 +75,13 @@ pub fn generate(n: usize, seed: u64) -> Table {
 
         // Diurnal ordering with an evening peak.
         let order_hour = if rng.random::<f64>() < 0.35 {
-            (20.0 + normal(&mut rng) * 2.0).rem_euclid(24.0)
+            (20.0 + standard_normal(&mut rng) * 2.0).rem_euclid(24.0)
         } else {
-            (13.0 + normal(&mut rng) * 4.5).rem_euclid(24.0)
+            (13.0 + standard_normal(&mut rng) * 4.5).rem_euclid(24.0)
         };
 
         let quantity = 1 + (rng.random::<f64>().powi(3) * 9.0) as i64;
-        let unit_price = (base_price[product] * (1.0 + normal(&mut rng) * 0.05)).max(0.5);
+        let unit_price = (base_price[product] * (1.0 + standard_normal(&mut rng) * 0.05)).max(0.5);
         // Bulk orders get discounted more often.
         let discount = if quantity >= 5 && rng.random::<f64>() < 0.6 {
             0.05 + rng.random::<f64>() * 0.25
@@ -83,19 +96,29 @@ pub fn generate(n: usize, seed: u64) -> Table {
             + if quantity > 6 { 1.0 } else { 0.0 })
         .max(0.5);
 
-        row.clear();
-        row.push(Value::Str(format!("R{region:02}")));
-        row.push(Value::Str(format!("CAT{category:02}")));
-        row.push(Value::Str(format!("P{product:04}")));
-        row.push(Value::Float((order_hour * 100.0).round() / 100.0));
-        row.push(Value::Int(quantity));
-        row.push(Value::Float((unit_price * 100.0).round() / 100.0));
-        row.push(Value::Float((discount * 100.0).round() / 100.0));
-        row.push(Value::Float((revenue * 100.0).round() / 100.0));
-        row.push(Value::Float((ship_days * 10.0).round() / 10.0));
-        b.push_row(&row).expect("schema and row agree");
+        regions.push(region);
+        categories.push(category);
+        products.push(product);
+        order_hours.push((order_hour * 100.0).round() / 100.0);
+        quantities.push(quantity);
+        unit_prices.push((unit_price * 100.0).round() / 100.0);
+        discounts.push((discount * 100.0).round() / 100.0);
+        revenues.push((revenue * 100.0).round() / 100.0);
+        shipping_days.push((ship_days * 10.0).round() / 10.0);
     }
-    b.finish()
+    let columns = vec![
+        regions.finish(),
+        categories.finish(),
+        products.finish(),
+        Column::float(order_hours),
+        Column::int(quantities),
+        Column::float(unit_prices),
+        Column::float(discounts),
+        Column::float(revenues),
+        Column::float(shipping_days),
+    ];
+    Table::new(ORDERS_TABLE, Schema::from_pairs(SCHEMA), columns)
+        .expect("generated columns have equal lengths")
 }
 
 #[cfg(test)]

@@ -1,5 +1,8 @@
 //! Statistical utilities: normal CDF, Zipf sampling, empirical quantiles.
 
+use rand::rngs::StdRng;
+use rand::Rng;
+
 /// Standard normal CDF Φ(x), via Abramowitz–Stegun 7.1.26 on erf.
 ///
 /// Absolute error < 1.5e-7 — ample for copula uniformization.
@@ -18,6 +21,13 @@ pub fn normal_cdf(x: f64) -> f64 {
 /// Standard normal quantile Φ⁻¹(p). Re-exported from the benchmark core so
 /// the whole workspace shares one implementation.
 pub use idebench_core::metrics::normal_quantile;
+
+/// One standard-normal draw (Box–Muller, using two uniforms).
+pub(crate) fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.random::<f64>().max(1e-12);
+    let u2: f64 = rng.random();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
 
 /// Cumulative weights for a Zipf(s) distribution over `n` ranks.
 ///

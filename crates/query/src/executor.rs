@@ -395,7 +395,7 @@ pub fn execute_exact_scalar_with_order(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan_compilations;
+    use crate::plan::thread_plan_compilations;
     use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
     use idebench_core::{BinCoord, BinKey, FilterExpr, Predicate, VizSpec};
     use idebench_storage::{DataType, TableBuilder};
@@ -483,9 +483,11 @@ mod tests {
     #[test]
     fn plan_compiled_exactly_once_per_run() {
         let ds = dataset(500);
-        let before = plan_compilations();
+        // The counter is per thread: compilations by concurrently running
+        // tests cannot move it, and `advance`/`snapshot` run on this thread.
+        let before = thread_plan_compilations();
         let mut run = ChunkedRun::new(ds, count_query(), SnapshotMode::Exact).unwrap();
-        let after_construction = plan_compilations();
+        let after_construction = thread_plan_compilations();
         assert_eq!(
             after_construction,
             before + 1,
@@ -496,7 +498,7 @@ mod tests {
             let _ = run.snapshot();
         }
         assert_eq!(
-            plan_compilations(),
+            thread_plan_compilations(),
             after_construction,
             "advance/snapshot never recompile"
         );

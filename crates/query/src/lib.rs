@@ -22,7 +22,8 @@
 //!   IN-lists lowered to dictionary membership tables, binning classified as
 //!   dense (bounded bin space: nominal dictionaries *and* statistics-bounded
 //!   fixed-width bucketings) or sparse (genuinely unbounded key spaces).
-//!   Built exactly once per run; [`plan_compilations`] lets tests pin that.
+//!   Built exactly once per run; [`thread_plan_compilations`] lets tests pin
+//!   that.
 //! - [`batch`]: fixed-size morsel kernels (filter → bitmask, batched bin
 //!   slot computation, bulk accumulation) and the dense flat-array /
 //!   sparse hashed accumulators.
@@ -99,7 +100,7 @@ pub use executor::{
 pub use filter::CompiledFilter;
 pub use ground_truth::{enumerate_workload_queries, CachedGroundTruth};
 pub use plan::{
-    plan_compilations, AccMode, CompiledPlan, JoinPolicy, PlannedColumn, DENSE_BIN_CAP,
+    thread_plan_compilations, AccMode, CompiledPlan, JoinPolicy, PlannedColumn, DENSE_BIN_CAP,
 };
 pub use pool::{global_pool, ScanPool};
 pub use resolve::{ResolvedColumn, ResolvedQuery};

@@ -17,8 +17,8 @@
 //! `Arc` handles into the dataset and therefore lives inside a
 //! [`crate::ChunkedRun`] for the whole scan: `advance` only *binds* the plan
 //! (index-based slice lookups, no name resolution, no hashing) and runs
-//! batch kernels over it. [`plan_compilations`] counts compilations so tests
-//! can pin the once-per-run property.
+//! batch kernels over it. [`thread_plan_compilations`] counts compilations
+//! on the calling thread so tests can pin the once-per-run property.
 //!
 //! # Join devirtualization
 //!
@@ -49,7 +49,7 @@
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
 use idebench_storage::{Column, ColumnSlice, Dataset, SelVec, Table};
 use rustc_hash::FxHashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Upper bound on the flat bin space of the dense accumulation path.
@@ -57,14 +57,18 @@ use std::sync::Arc;
 /// bucket counts) exceeds this fall back to sparse (hashed) accumulation.
 pub const DENSE_BIN_CAP: usize = 1 << 13;
 
-static PLAN_COMPILATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static PLAN_COMPILATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Number of [`CompiledPlan`] compilations since process start.
+/// Number of [`CompiledPlan`] compilations performed on the calling thread.
 ///
 /// Construction-count tests assert that stepping a [`crate::ChunkedRun`]
 /// compiles its plan exactly once, no matter how the budget is sliced.
-pub fn plan_compilations() -> u64 {
-    PLAN_COMPILATIONS.load(Ordering::Relaxed)
+/// Counting per thread keeps that assertion exact while other threads
+/// (concurrently running tests, sessions) compile plans of their own.
+pub fn thread_plan_compilations() -> u64 {
+    PLAN_COMPILATIONS.with(Cell::get)
 }
 
 /// How a [`CompiledPlan`] executes star-schema join access (module docs).
@@ -590,7 +594,7 @@ impl CompiledPlan {
         query: &Query,
         policy: JoinPolicy,
     ) -> Result<Self, CoreError> {
-        PLAN_COMPILATIONS.fetch_add(1, Ordering::Relaxed);
+        PLAN_COMPILATIONS.with(|c| c.set(c.get() + 1));
         let mut filter = query
             .filter()
             .map(|f| PlannedFilter::compile(dataset, f))
@@ -1380,8 +1384,8 @@ mod tests {
 
     #[test]
     fn compilation_counter_advances() {
-        let before = plan_compilations();
+        let before = thread_plan_compilations();
         let _ = CompiledPlan::compile(&denorm(), &nominal_query()).unwrap();
-        assert!(plan_compilations() > before);
+        assert_eq!(thread_plan_compilations(), before + 1);
     }
 }

@@ -3,7 +3,7 @@
 use crate::column::{Column, ColumnData};
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::{DataType, Schema};
 use crate::selection::SelVec;
 use std::sync::Arc;
 
@@ -214,13 +214,7 @@ impl TableBuilder {
 
     /// Convenience constructor from `(name, type)` pairs.
     pub fn with_fields(name: impl Into<String>, fields: &[(&str, DataType)]) -> Self {
-        let schema = Schema::new(
-            fields
-                .iter()
-                .map(|(n, t)| Field::new(*n, *t))
-                .collect::<Vec<_>>(),
-        );
-        Self::new(name, schema)
+        Self::new(name, Schema::from_pairs(fields))
     }
 
     /// Number of rows appended so far.
@@ -281,34 +275,50 @@ impl TableBuilder {
         Ok(())
     }
 
-    /// Finishes the build, producing an immutable table.
+    /// Finishes the build, producing an immutable table. The column
+    /// buffers and dictionaries move into the table; nothing is copied.
     pub fn finish(self) -> Table {
-        let mut columns = Vec::with_capacity(self.schema.len());
-        for (i, field) in self.schema.fields().iter().enumerate() {
-            let mut col = match field.dtype {
-                DataType::Float => Column::float(self.floats[i].clone().expect("float buffer")),
-                DataType::Int => Column::int(self.ints[i].clone().expect("int buffer")),
-                DataType::Nominal => {
-                    let (buf, dict) = self.codes[i].clone().expect("code buffer");
-                    Column::nominal(buf, Arc::new(dict))
+        let TableBuilder {
+            name,
+            schema,
+            floats,
+            ints,
+            codes,
+            nulls,
+            nrows,
+        } = self;
+        let buffers = floats.into_iter().zip(ints).zip(codes).zip(nulls);
+        let columns = schema
+            .fields()
+            .iter()
+            .zip(buffers)
+            .map(|(field, (((float, int), code), null_rows))| {
+                let col = match field.dtype {
+                    DataType::Float => Column::float(float.expect("float buffer")),
+                    DataType::Int => Column::int(int.expect("int buffer")),
+                    DataType::Nominal => {
+                        let (buf, dict) = code.expect("code buffer");
+                        Column::nominal(buf, Arc::new(dict))
+                    }
+                };
+                if null_rows.is_empty() {
+                    return col;
                 }
-            };
-            if !self.nulls[i].is_empty() {
-                let mut validity = SelVec::all(self.nrows);
-                for &row in &self.nulls[i] {
+                let mut validity = SelVec::all(nrows);
+                for row in null_rows {
                     validity.remove(row);
                 }
-                col = col.with_validity(validity);
-            }
-            columns.push(col);
-        }
-        Table::new(self.name, self.schema, columns).expect("builder produces aligned columns")
+                col.with_validity(validity)
+            })
+            .collect();
+        Table::new(name, schema, columns).expect("builder produces aligned columns")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Field;
 
     fn small_table() -> Table {
         let mut b = TableBuilder::with_fields(
