@@ -277,41 +277,27 @@ impl TableBuilder {
 
     /// Finishes the build, producing an immutable table. The column
     /// buffers and dictionaries move into the table; nothing is copied.
-    pub fn finish(self) -> Table {
-        let TableBuilder {
-            name,
-            schema,
-            floats,
-            ints,
-            codes,
-            nulls,
-            nrows,
-        } = self;
-        let buffers = floats.into_iter().zip(ints).zip(codes).zip(nulls);
-        let columns = schema
-            .fields()
-            .iter()
-            .zip(buffers)
-            .map(|(field, (((float, int), code), null_rows))| {
-                let col = match field.dtype {
-                    DataType::Float => Column::float(float.expect("float buffer")),
-                    DataType::Int => Column::int(int.expect("int buffer")),
-                    DataType::Nominal => {
-                        let (buf, dict) = code.expect("code buffer");
-                        Column::nominal(buf, Arc::new(dict))
-                    }
-                };
-                if null_rows.is_empty() {
-                    return col;
+    pub fn finish(mut self) -> Table {
+        let mut columns = Vec::with_capacity(self.schema.len());
+        for (i, field) in self.schema.fields().iter().enumerate() {
+            let mut col = match field.dtype {
+                DataType::Float => Column::float(self.floats[i].take().expect("float buffer")),
+                DataType::Int => Column::int(self.ints[i].take().expect("int buffer")),
+                DataType::Nominal => {
+                    let (buf, dict) = self.codes[i].take().expect("code buffer");
+                    Column::nominal(buf, Arc::new(dict))
                 }
-                let mut validity = SelVec::all(nrows);
-                for row in null_rows {
+            };
+            if !self.nulls[i].is_empty() {
+                let mut validity = SelVec::all(self.nrows);
+                for &row in &self.nulls[i] {
                     validity.remove(row);
                 }
-                col.with_validity(validity)
-            })
-            .collect();
-        Table::new(name, schema, columns).expect("builder produces aligned columns")
+                col = col.with_validity(validity);
+            }
+            columns.push(col);
+        }
+        Table::new(self.name, self.schema, columns).expect("builder produces aligned columns")
     }
 }
 
