@@ -300,21 +300,28 @@ proptest! {
 // ------------------------------------- vectorized/scalar differential
 
 /// Builds a random-but-seeded filter over the flights columns.
+///
+/// Variants 5–8 target the morsel filter kernels' word-level shortcuts:
+/// a selective first conjunct that rejects whole morsels ahead of further
+/// `I64`/`F64` range and IN conjuncts, and OR children that fill whole
+/// mask words (alone or nested under an AND). Integer-column ranges use
+/// fractional and negative bounds.
 fn arb_filter(which: u8, lo: f64, hi: f64) -> FilterExpr {
-    let range = |column: &str, lo: f64, hi: f64| {
+    let span = |column: &str, min: f64, max: f64| {
         FilterExpr::Pred(Predicate::Range {
             column: column.into(),
-            min: lo.min(hi),
-            max: lo.max(hi) + 1.0,
+            min,
+            max,
         })
     };
+    let range = |column: &str, lo: f64, hi: f64| span(column, lo.min(hi), lo.max(hi) + 1.0);
     let isin = |values: &[&str]| {
         FilterExpr::Pred(Predicate::In {
             column: "carrier".into(),
             values: values.iter().map(|s| s.to_string()).collect(),
         })
     };
-    match which % 5 {
+    match which % 9 {
         0 => range("dep_delay", lo, hi),
         1 => isin(&["C00", "C02", "C05"]),
         2 => isin(&["C01"]).and(range("distance", lo.abs() * 20.0, hi.abs() * 30.0)),
@@ -322,25 +329,58 @@ fn arb_filter(which: u8, lo: f64, hi: f64) -> FilterExpr {
             isin(&["C03", "ZZ_MISSING"]),
             range("arr_delay", lo, hi),
         ]),
-        _ => FilterExpr::And(vec![]),
+        4 => FilterExpr::And(vec![]),
+        // A narrow band of the late-delay tail (0–1% of rows) first, so
+        // most morsels are rejected whole before the later conjuncts run.
+        5 => FilterExpr::And(vec![
+            span(
+                "dep_delay",
+                60.0 + lo.abs(),
+                60.0 + lo.abs() + hi.abs() / 10.0,
+            ),
+            span("month", 1.5 + lo.abs() % 4.0, 9.25 + hi.abs() % 4.0),
+            isin(&["C00", "C01", "C02", "C04", "C07"]),
+            range("distance", lo.abs() * 5.0, 200.0 + hi.abs() * 30.0),
+        ]),
+        6 => FilterExpr::And(vec![
+            span("day_of_week", lo / 10.0, 3.5 + hi / 20.0),
+            FilterExpr::Or(vec![span("month", 0.5, 12.5), isin(&["C03"])]),
+            range("arr_delay", lo, hi),
+        ]),
+        7 => FilterExpr::Or(vec![
+            span("month", -0.5, 13.0),
+            isin(&["C03", "ZZ_MISSING"]),
+            range("arr_delay", lo, hi),
+        ]),
+        _ => FilterExpr::Or(vec![
+            isin(&["C01"]),
+            span("day_of_week", -3.25, 7.75 + hi.abs()),
+            range("dep_delay", lo, hi),
+        ]),
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The vectorized batch path (dense and sparse stores, natural and
     /// shuffled orders, arbitrary budget slicing, star and denormalized
     /// datasets) and the parallel morsel dispatcher (workers ∈ {2, 3, 8})
     /// produce bit-identical results to the retained scalar reference path.
+    /// Inputs span float and integer width binnings (fractional widths and
+    /// anchors), multi-conjunct filters whose first conjunct rejects whole
+    /// morsels (tables of up to five morsels), OR children that fill whole
+    /// mask words, and sparse matches over shuffled orders.
     #[test]
     fn vectorized_matches_scalar_differentially(
         seed in 0u64..25,
-        rows in 200usize..3_000,
+        rows in 200usize..5_000,
         which_filter in any::<u8>(),
         lo in -50.0f64..50.0,
         hi in -50.0f64..120.0,
         width in 1u32..50,
+        width_col in 0usize..3,
+        int_width_pick in 0usize..7,
         budget in 16u64..4_000,
         shuffle in any::<bool>(),
         two_d in any::<bool>(),
@@ -358,14 +398,26 @@ proptest! {
         let star = idebench::datagen::normalize_flights(&table)
             .map_err(TestCaseError::fail)?;
 
-        let mut binning = vec![if nominal {
-            BinDef::Nominal { dimension: "carrier".into() }
-        } else {
-            BinDef::Width {
+        // Width binning over the float `dep_delay`, or over the integer
+        // `month` / `day_of_week` with fractional widths and anchors.
+        let int_width = [0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 3.0][int_width_pick];
+        let mut binning = vec![match (nominal, width_col) {
+            (true, _) => BinDef::Nominal { dimension: "carrier".into() },
+            (false, 0) => BinDef::Width {
                 dimension: "dep_delay".into(),
                 width: f64::from(width),
                 anchor: lo,
-            }
+            },
+            (false, 1) => BinDef::Width {
+                dimension: "month".into(),
+                width: int_width,
+                anchor: lo / 7.0,
+            },
+            (false, _) => BinDef::Width {
+                dimension: "day_of_week".into(),
+                width: int_width,
+                anchor: -hi / 9.0,
+            },
         }];
         if two_d {
             binning.push(BinDef::Nominal { dimension: "origin_state".into() });
