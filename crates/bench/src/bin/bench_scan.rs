@@ -5,18 +5,31 @@
 //! cases comparing the devirtualized join layer against the pre-cache
 //! per-row FK-indirection path ([`JoinPolicy::Indirect`]).
 //!
+//! Three cases target the morsel kernels' shortcuts: a shuffled-order
+//! width + AVG scan as the progressive engine runs it (late gathers), a
+//! selective three-conjunct AND (filter words that stop early), and an
+//! integer width binning (table-driven slots).
+//!
+//! Every rate is the median over [`REPS`] timed repetitions after one
+//! warm-up, reported with its interquartile range (`*_iqr`, as
+//! `[q1, q3]` rows/s): a best-of-N rate drifts with host noise and does
+//! not compare across runs.
+//!
 //! Doubles as the CI regression gate: the process exits non-zero if any
-//! vectorized case drops below 1× the scalar path, or any star-join case
-//! below 1× the FK-indirection path (set `IDEBENCH_BENCH_NO_GATE=1` to
-//! disable when exploring).
+//! vectorized case drops below 1× the scalar path (median over median),
+//! or any star-join case below 1× the FK-indirection path (set
+//! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring).
 
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
 use idebench_core::{FilterExpr, Predicate, Query, VizSpec};
 use idebench_query::{
     available_workers, execute_exact, execute_exact_parallel, execute_exact_scalar,
-    execute_exact_with_policy, AccMode, CompiledPlan, JoinPolicy,
+    execute_exact_scalar_with_order, execute_exact_with_policy, AccMode, ChunkedRun, CompiledPlan,
+    JoinPolicy, SnapshotMode,
 };
 use idebench_storage::Dataset;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -25,16 +38,40 @@ const ROWS: usize = 500_000;
 /// thread-pool overhead.
 const SCALING_ROWS: usize = 2_000_000;
 
-fn time_rows_per_sec(rows: usize, mut f: impl FnMut()) -> f64 {
-    // Warm-up, then best of several measured repetitions.
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+/// Timed repetitions per measured rate.
+const REPS: usize = 15;
+
+/// A throughput measurement: the median rate and its interquartile range.
+#[derive(Debug, Clone, Copy)]
+struct Rate {
+    median: f64,
+    q1: f64,
+    q3: f64,
+}
+
+impl Rate {
+    fn iqr_json(&self) -> serde_json::Value {
+        serde_json::json!([self.q1, self.q3])
     }
-    rows as f64 / best
+}
+
+fn time_rows_per_sec(rows: usize, mut f: impl FnMut()) -> Rate {
+    // Warm-up, then the rate of every measured repetition.
+    f();
+    let mut rates: Vec<f64> = (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            rows as f64 / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    rates.sort_by(f64::total_cmp);
+    let at = |p: f64| rates[((rates.len() - 1) as f64 * p).round() as usize];
+    Rate {
+        median: at(0.5),
+        q1: at(0.25),
+        q3: at(0.75),
+    }
 }
 
 fn filtered_1d_nominal() -> Query {
@@ -124,6 +161,88 @@ fn dense_bucketed_2d() -> Query {
     Query::for_viz(&spec, None)
 }
 
+/// A selective three-conjunct AND: a narrow late-departure band rejects
+/// most morsels whole before the integer `month` range and the IN list
+/// run.
+fn selective_3_conjunct_and() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![BinDef::Nominal {
+            dimension: "carrier".into(),
+        }],
+        vec![AggregateSpec::over(AggFunc::Avg, "arr_delay")],
+    );
+    Query::for_viz(
+        &spec,
+        Some(FilterExpr::And(vec![
+            FilterExpr::Pred(Predicate::Range {
+                column: "dep_delay".into(),
+                min: 150.0,
+                max: 152.0,
+            }),
+            FilterExpr::Pred(Predicate::Range {
+                column: "month".into(),
+                min: 3.0,
+                max: 10.0,
+            }),
+            FilterExpr::Pred(Predicate::In {
+                column: "carrier".into(),
+                values: vec!["C00".into(), "C01".into(), "C02".into(), "C03".into()],
+            }),
+        ])),
+    )
+}
+
+/// Width-1 COUNT histogram over the integer `month` column.
+fn int_width_binning() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![BinDef::Width {
+            dimension: "month".into(),
+            width: 1.0,
+            anchor: 0.0,
+        }],
+        vec![AggregateSpec::count()],
+    );
+    Query::for_viz(&spec, None)
+}
+
+/// 1D width binning with an AVG, scanned in a shuffled order.
+fn shuffled_1d_width_avg() -> Query {
+    let spec = VizSpec::new(
+        "bench",
+        "flights",
+        vec![BinDef::Width {
+            dimension: "dep_delay".into(),
+            width: 5.0,
+            anchor: 0.0,
+        }],
+        vec![
+            AggregateSpec::count(),
+            AggregateSpec::over(AggFunc::Avg, "arr_delay"),
+        ],
+    );
+    Query::for_viz(&spec, None)
+}
+
+/// Scans `q` to completion over `order`, as the progressive engine steps
+/// a shuffled run (the exact snapshot of the finished run).
+fn scan_in_order(ds: &Dataset, q: &Query, order: &Arc<Vec<u32>>) -> idebench_core::AggResult {
+    let mut run = ChunkedRun::with_order(
+        ds.clone(),
+        q.clone(),
+        Some(Arc::clone(order)),
+        SnapshotMode::Exact,
+    )
+    .expect("shuffled bench query compiles");
+    while !run.is_done() {
+        run.advance(u64::MAX);
+    }
+    run.snapshot().expect("finished run has a snapshot")
+}
+
 /// 1D nominal binning reached through a foreign key (star schema).
 fn star_1d_nominal_via_fk() -> Query {
     let spec = VizSpec::new(
@@ -159,16 +278,51 @@ fn star_joined_2d_agg() -> Query {
     Query::for_viz(&spec, None)
 }
 
+/// Prints one vectorized-vs-scalar case, records a gate failure when the
+/// median speedup drops below 1×, and returns its report entry.
+fn report_case(
+    name: &str,
+    dense: bool,
+    vec_rps: Rate,
+    scalar_rps: Rate,
+    regressions: &mut Vec<String>,
+) -> serde_json::Value {
+    let speedup = vec_rps.median / scalar_rps.median;
+    println!(
+        "{name:<32} vectorized {:>12.0} rows/s (iqr {:.0}-{:.0})   scalar {:>12.0} rows/s   speedup {speedup:.2}x   {}",
+        vec_rps.median,
+        vec_rps.q1,
+        vec_rps.q3,
+        scalar_rps.median,
+        if dense { "dense" } else { "sparse" }
+    );
+    if speedup < 1.0 {
+        regressions.push(format!("{name}: {speedup:.2}x"));
+    }
+    serde_json::json!({
+        "case": name,
+        "rows": ROWS,
+        "dense": dense,
+        "vectorized_rows_per_sec": vec_rps.median,
+        "vectorized_iqr": vec_rps.iqr_json(),
+        "scalar_rows_per_sec": scalar_rps.median,
+        "scalar_iqr": scalar_rps.iqr_json(),
+        "speedup": speedup,
+    })
+}
+
 fn main() {
     let table = idebench_datagen::flights::generate(ROWS, 42);
     let ds = Dataset::Denormalized(Arc::new(table.clone()));
     let star = idebench_datagen::normalize_flights(&table).expect("flights normalize");
 
-    let cases: [(&str, Query); 4] = [
+    let cases: [(&str, Query); 6] = [
         ("exact_scan_1d_nominal_count", exact_scan()),
         ("filtered_scan_1d_nominal_avg", filtered_1d_nominal()),
         ("binned_2d_agg", binned_2d()),
         ("dense_bucketed_2d_agg", dense_bucketed_2d()),
+        ("selective_3_conjunct_and", selective_3_conjunct_and()),
+        ("int_width_binning_count", int_width_binning()),
     ];
 
     let mut entries = Vec::new();
@@ -187,22 +341,44 @@ fn main() {
         let scalar_rps = time_rows_per_sec(ROWS, || {
             let _ = execute_exact_scalar(&ds, q).unwrap();
         });
-        let speedup = vec_rps / scalar_rps;
-        println!(
-            "{name:<32} vectorized {vec_rps:>12.0} rows/s   scalar {scalar_rps:>12.0} rows/s   speedup {speedup:.2}x   {}",
-            if dense { "dense" } else { "sparse" }
+        entries.push(report_case(
+            name,
+            dense,
+            vec_rps,
+            scalar_rps,
+            &mut regressions,
+        ));
+    }
+
+    // Shuffled-order scan, as the progressive engine runs it: asserted
+    // bit-identical to the scalar reference visiting the same order.
+    {
+        let name = "shuffled_1d_width_avg";
+        let q = shuffled_1d_width_avg();
+        let mut order: Vec<u32> = (0..ROWS as u32).collect();
+        order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(7));
+        let order = Arc::new(order);
+        ds.warm_numeric_stats();
+        let plan = CompiledPlan::compile(&ds, &q).expect("bench query compiles");
+        let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
+        assert_eq!(
+            scan_in_order(&ds, &q, &order),
+            execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap(),
+            "shuffled vectorized and scalar paths must agree on {name}"
         );
-        if speedup < 1.0 {
-            regressions.push(format!("{name}: {speedup:.2}x"));
-        }
-        entries.push(serde_json::json!({
-            "case": name,
-            "rows": ROWS,
-            "dense": dense,
-            "vectorized_rows_per_sec": vec_rps,
-            "scalar_rows_per_sec": scalar_rps,
-            "speedup": speedup,
-        }));
+        let vec_rps = time_rows_per_sec(ROWS, || {
+            let _ = scan_in_order(&ds, &q, &order);
+        });
+        let scalar_rps = time_rows_per_sec(ROWS, || {
+            let _ = execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap();
+        });
+        entries.push(report_case(
+            name,
+            dense,
+            vec_rps,
+            scalar_rps,
+            &mut regressions,
+        ));
     }
 
     // Star-schema join cases: the devirtualized join layer (shared
@@ -236,10 +412,12 @@ fn main() {
         let scalar_rps = time_rows_per_sec(ROWS, || {
             let _ = execute_exact_scalar(&star, q).unwrap();
         });
-        let vs_indirect = devirt_rps / indirect_rps;
-        let vs_scalar = devirt_rps / scalar_rps;
+        let vs_indirect = devirt_rps.median / indirect_rps.median;
+        let vs_scalar = devirt_rps.median / scalar_rps.median;
         println!(
-            "{name:<32} devirtualized {devirt_rps:>11.0} rows/s   fk-indirect {indirect_rps:>11.0} rows/s   speedup {vs_indirect:.2}x (vs scalar {vs_scalar:.2}x)   {}",
+            "{name:<32} devirtualized {:>11.0} rows/s   fk-indirect {:>11.0} rows/s   speedup {vs_indirect:.2}x (vs scalar {vs_scalar:.2}x)   {}",
+            devirt_rps.median,
+            indirect_rps.median,
             if dense { "dense" } else { "sparse" }
         );
         if vs_indirect < 1.0 {
@@ -250,9 +428,12 @@ fn main() {
             "rows": ROWS,
             "dense": dense,
             "joined": true,
-            "vectorized_rows_per_sec": devirt_rps,
-            "indirect_rows_per_sec": indirect_rps,
-            "scalar_rows_per_sec": scalar_rps,
+            "vectorized_rows_per_sec": devirt_rps.median,
+            "vectorized_iqr": devirt_rps.iqr_json(),
+            "indirect_rows_per_sec": indirect_rps.median,
+            "indirect_iqr": indirect_rps.iqr_json(),
+            "scalar_rows_per_sec": scalar_rps.median,
+            "scalar_iqr": scalar_rps.iqr_json(),
             "speedup": vs_scalar,
             "speedup_vs_indirect": vs_indirect,
         }));
@@ -276,7 +457,8 @@ fn main() {
     let scalar_ref = execute_exact_scalar(&scaling_ds, &scan).unwrap();
     let scalar_rps = time_rows_per_sec(SCALING_ROWS, || {
         let _ = execute_exact_scalar(&scaling_ds, &scan).unwrap();
-    });
+    })
+    .median;
     let mut worker_counts = vec![1usize, 2, 4];
     if !worker_counts.contains(&cores) {
         worker_counts.push(cores);
@@ -289,9 +471,10 @@ fn main() {
             scalar_ref,
             "parallel scan ({workers} workers) must stay bit-identical to scalar"
         );
-        let rps = time_rows_per_sec(SCALING_ROWS, || {
+        let rate = time_rows_per_sec(SCALING_ROWS, || {
             let _ = execute_exact_parallel(&scaling_ds, &scan, workers).unwrap();
         });
+        let rps = rate.median;
         if workers == 1 {
             baseline_rps = rps;
         }
@@ -305,6 +488,7 @@ fn main() {
             "rows": SCALING_ROWS,
             "workers": workers,
             "rows_per_sec": rps,
+            "iqr": rate.iqr_json(),
             "speedup_vs_single_worker": rps / baseline_rps,
             "speedup_vs_scalar": rps / scalar_rps,
         }));
@@ -321,6 +505,7 @@ fn main() {
     };
     let report = serde_json::json!({
         "benchmark": "scan",
+        "reps": REPS,
         "available_cores": cores,
         "scaling_note": scaling_note,
         "join_cache": {

@@ -1,33 +1,50 @@
 //! Morsel-driven batch kernels and accumulation.
 //!
-//! Execution processes fixed-size morsels (`MORSEL` rows). Per morsel:
+//! Execution processes fixed-size morsels (`MORSEL` rows), either a
+//! contiguous natural-order range or a slice of a shuffled visit order.
+//! Every kernel reads a column as a `Flat` slice indexed by morsel
+//! position plus an optional validity mask; only the legacy per-row
+//! `Virtual` access (under `JoinPolicy::Indirect`) reads row by row. Per
+//! morsel:
 //!
-//! 1. the staged columns the *filter* reads are gathered into flat scratch
-//!    buffers — joined columns gather their foreign-key column **once**
-//!    per morsel and translate it through the plan's per-dimension join
-//!    caches, nullable columns fold their validity bitmap into a morsel
-//!    mask (see `crate::plan::StageSpec`);
-//! 2. the filter tree is evaluated into a bitmask (`Mask`) by typed
-//!    kernels — one `match` on column type per *morsel*, not per row;
-//! 3. the remaining staged (binning / measure) columns are gathered — a
-//!    morsel the filter fully rejects skips this phase entirely;
-//! 4. bin slots (dense) or bin keys (sparse) are computed for all rows;
-//! 5. matching rows are folded into the accumulator in bulk.
+//! 1. **Filter staging.** The stage slots the filter reads are made flat
+//!    (see `crate::plan::StageSpec`). A fact column in a natural-order
+//!    morsel is read in place. In a shuffled-order morsel it is gathered
+//!    once, in a loop of independent loads. A joined column gathers its
+//!    foreign-key column once and translates it through the plan's
+//!    per-dimension join cache. A nullable column folds its validity
+//!    bitmap into the slot's mask.
+//! 2. **Filter words.** The filter tree is evaluated into a bitmask
+//!    (`Mask`). A range or IN predicate writes one `u64` per 64 rows from
+//!    a flat slice, and only for words its caller still cares about: an
+//!    AND hands each conjunct its running mask, so words already zero are
+//!    skipped and the AND stops once the mask is empty; an OR hands each
+//!    child the words not yet full. Integer columns compare against the
+//!    range's exact integer bounds (`crate::plan::RangeTest`).
+//! 3. **Late gathers.** A morsel the filter fully rejects stops here. The
+//!    remaining (binning and measure) slots are staged next, and every
+//!    gather in this phase reads only the filter-passing positions.
+//! 4. **Bin slots.** Dense slots (or sparse keys) are computed from flat
+//!    slices. A width bucketing over an integer-domain column looks its
+//!    slot up in the plan's compile-time table
+//!    (`crate::plan::SlotTable`); a float column, or an integer span above
+//!    the table cap, uses the arithmetic `WidthSlots::slot_of`.
+//! 5. **Accumulate.** Matching rows are folded into the accumulator in
+//!    row order, so every per-bin floating-point sequence is that of the
+//!    scalar reference path.
 //!
-//! Every kernel consumes a `ColView`: flat slices (direct or staged) in
-//! all but the retained `Virtual` arm, so star-schema joins devirtualized
-//! by the planner run the same code as de-normalized columns. The dense
-//! path exploits that an all-nominal binning has a bin space bounded by
-//! dictionary sizes: accumulators live in a flat array indexed by
-//! `code0 + code1 * dict_len0`, replacing the per-row hash probe of the
+//! The dense path exploits that an all-nominal binning has a bin space
+//! bounded by dictionary sizes: accumulators live in a flat array indexed
+//! by `code0 + code1 * dict_len0`, replacing the per-row hash probe of the
 //! scalar reference path.
 
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc};
 use crate::plan::{
-    AccMode, ColView, CompiledPlan, PlannedDim, PlannedFilter, StagePhases, StageSpec,
+    AccMode, BoundColumn, ColView, CompiledPlan, PlannedDim, PlannedFilter, RangeTest, StagePhases,
+    StageSpec, WidthSlots, NULL_CODE,
 };
 use idebench_core::{AggFunc, BinCoord, BinKey};
-use idebench_storage::{ColumnSlice, SelVec};
+use idebench_storage::{Column, ColumnSlice, SelVec};
 use rustc_hash::FxHashMap;
 
 /// Rows per morsel. A multiple of 64 so morsel masks align with
@@ -38,69 +55,118 @@ const WORDS: usize = MORSEL / 64;
 /// A per-morsel bitmask (bit `i` = row `i` of the morsel).
 pub(crate) type Mask = [u64; WORDS];
 
-/// Zeroes mask bits at positions `n..`.
+/// The mask of morsel positions `0..n`.
 #[inline]
-fn mask_tail(mask: &mut Mask, n: usize) {
+pub(crate) fn tail_mask(n: usize) -> Mask {
+    let mut mask = [0u64; WORDS];
     for (w, word) in mask.iter_mut().enumerate() {
         let lo = w * 64;
-        if n <= lo {
-            *word = 0;
-        } else if n < lo + 64 {
-            *word &= (1u64 << (n - lo)) - 1;
+        if n >= lo + 64 {
+            *word = u64::MAX;
+        } else if n > lo {
+            *word = (1u64 << (n - lo)) - 1;
+        }
+    }
+    mask
+}
+
+/// `a & b`, word by word.
+#[inline]
+fn and(a: &Mask, b: &Mask) -> Mask {
+    std::array::from_fn(|w| a[w] & b[w])
+}
+
+/// Calls `f(i)` for every morsel position `i` selected by `sel`; full words
+/// run as straight loops.
+#[inline(always)]
+fn for_each_pos(sel: &Mask, mut f: impl FnMut(usize)) {
+    for (w, &bits) in sel.iter().enumerate() {
+        if bits == u64::MAX {
+            (w * 64..w * 64 + 64).for_each(&mut f);
+        } else {
+            let mut bits = bits;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
         }
     }
 }
 
-/// The rows of one morsel: a contiguous range or a gathered order slice.
-pub(crate) trait RowSet: Copy {
+/// The rows of one morsel.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Natural-order rows `base..base + len`.
+    Natural { base: usize, len: usize },
+    /// Rows gathered through a shuffle/order slice.
+    Gather(&'a [u32]),
+}
+
+impl Rows<'_> {
     /// Number of rows (≤ [`MORSEL`]).
-    fn len(&self) -> usize;
+    #[inline]
+    pub fn len(&self) -> usize {
+        match *self {
+            Rows::Natural { len, .. } => len,
+            Rows::Gather(order) => order.len(),
+        }
+    }
+
     /// The fact row at morsel position `i`.
-    fn row(&self, i: usize) -> usize;
-    /// Start row of a contiguous natural-order range, when this is one —
-    /// kernels then swap gather loops for bounds-check-free slice walks.
-    fn base(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// Natural-order rows `base..base + len`.
-#[derive(Clone, Copy)]
-pub(crate) struct Natural {
-    pub base: usize,
-    pub len: usize,
-}
-
-impl RowSet for Natural {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.len
-    }
-
     #[inline(always)]
     fn row(&self, i: usize) -> usize {
-        self.base + i
-    }
-
-    #[inline(always)]
-    fn base(&self) -> Option<usize> {
-        Some(self.base)
+        match *self {
+            Rows::Natural { base, .. } => base + i,
+            Rows::Gather(order) => order[i] as usize,
+        }
     }
 }
 
-/// Rows gathered through a shuffle/order slice.
+/// A column's values as a flat typed slice.
 #[derive(Clone, Copy)]
-pub(crate) struct Gather<'a>(pub &'a [u32]);
+pub(crate) enum Flat<'a> {
+    F64(&'a [f64]),
+    I64(&'a [i64]),
+    Codes(&'a [u32]),
+}
 
-impl RowSet for Gather<'_> {
-    #[inline(always)]
-    fn len(&self) -> usize {
-        self.0.len()
+/// The value type of a [`Flat`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FlatKind {
+    F64,
+    I64,
+    Codes,
+}
+
+impl<'a> Flat<'a> {
+    /// A column payload as a flat slice.
+    #[inline]
+    pub(crate) fn of(data: ColumnSlice<'a>) -> Flat<'a> {
+        match data {
+            ColumnSlice::F64(d) => Flat::F64(d),
+            ColumnSlice::I64(d) => Flat::I64(d),
+            ColumnSlice::Codes(d, _) => Flat::Codes(d),
+        }
     }
 
+    /// Elements `base..base + len`.
+    #[inline]
+    fn slice(self, base: usize, len: usize) -> Flat<'a> {
+        match self {
+            Flat::F64(d) => Flat::F64(&d[base..base + len]),
+            Flat::I64(d) => Flat::I64(&d[base..base + len]),
+            Flat::Codes(d) => Flat::Codes(&d[base..base + len]),
+        }
+    }
+
+    /// The numeric value at position `i`.
     #[inline(always)]
-    fn row(&self, i: usize) -> usize {
-        self.0[i] as usize
+    fn num(self, i: usize) -> f64 {
+        match self {
+            Flat::F64(d) => d[i],
+            Flat::I64(d) => d[i] as f64,
+            Flat::Codes(d) => f64::from(d[i]),
+        }
     }
 }
 
@@ -124,8 +190,7 @@ pub(crate) struct BoundPlan<'a> {
 pub(crate) enum BoundFilter<'a> {
     Range {
         col: ColView<'a>,
-        min: f64,
-        max: f64,
+        test: RangeTest,
     },
     In {
         col: ColView<'a>,
@@ -145,16 +210,19 @@ enum BoundDim<'a> {
         col: ColView<'a>,
         width: f64,
         anchor: f64,
-        /// `(lo, len)` of the bounded bucket space when the dimension was
-        /// lowered to dense arithmetic slots.
-        dense: Option<(i64, u32)>,
+        /// The arithmetic slot function and bin-space size when the
+        /// dimension was lowered to dense slots.
+        dense: Option<(WidthSlots, u32)>,
+        /// The dense lowering's slot table over integer values
+        /// (`(min, slots)`), when the plan built one.
+        table: Option<(i64, &'a [u32])>,
     },
 }
 
 /// A [`StageSpec`] bound to borrowed slices for one `advance`.
-enum BoundStage<'a> {
+pub(crate) enum BoundStage<'a> {
     Own {
-        col: &'a idebench_storage::Column,
+        col: &'a Column,
     },
     JoinCodes {
         fk_slot: usize,
@@ -167,13 +235,23 @@ enum BoundStage<'a> {
     },
 }
 
+impl BoundStage<'_> {
+    /// Whether staged positions can be null (the slot's mask matters).
+    fn nullable(&self) -> bool {
+        match self {
+            BoundStage::Own { col } => col.validity().is_some(),
+            BoundStage::JoinCodes { .. } => true,
+            BoundStage::JoinNum { valid, .. } => valid.is_some(),
+        }
+    }
+}
+
 impl PlannedFilter {
     pub(crate) fn bind(&self) -> BoundFilter<'_> {
         match self {
-            PlannedFilter::Range { col, min, max } => BoundFilter::Range {
+            PlannedFilter::Range { col, test } => BoundFilter::Range {
                 col: col.view(),
-                min: *min,
-                max: *max,
+                test: *test,
             },
             PlannedFilter::In { col, member } => BoundFilter::In {
                 col: col.view(),
@@ -208,11 +286,13 @@ impl CompiledPlan {
                         width,
                         anchor,
                         dense,
+                        table,
                     } => BoundDim::Width {
                         col: col.view(),
                         width: *width,
                         anchor: *anchor,
-                        dense: dense.map(|d| (d.lo, d.len as u32)),
+                        dense: dense.map(|d| (WidthSlots::new(d, *width, *anchor), d.len as u32)),
+                        table: table.as_ref().map(|t| (t.min, t.slots.as_slice())),
                     },
                 })
                 .collect(),
@@ -257,135 +337,185 @@ impl CompiledPlan {
 
 // -------------------------------------------------------------- staging
 
-/// Scratch buffer of one staged column for the current morsel: flat values
-/// (codes or numerics, whichever the column is) plus a validity mask.
+/// Scratch values of one stage slot for the current morsel.
+enum StageVals {
+    F64(Vec<f64>),
+    I64(Vec<i64>),
+    Codes(Vec<u32>),
+}
+
+/// Scratch buffer of one stage slot for the current morsel: flat values
+/// plus a validity mask.
 pub(crate) struct StageBuf {
-    codes: Vec<u32>,
-    nums: Vec<f64>,
+    vals: StageVals,
     mask: Mask,
 }
 
 impl StageBuf {
     fn for_spec(spec: &StageSpec) -> StageBuf {
         StageBuf {
-            codes: if spec.nominal() {
-                vec![0; MORSEL]
-            } else {
-                Vec::new()
-            },
-            nums: if spec.nominal() {
-                Vec::new()
-            } else {
-                vec![0.0; MORSEL]
+            vals: match spec.kind() {
+                FlatKind::F64 => StageVals::F64(vec![0.0; MORSEL]),
+                FlatKind::I64 => StageVals::I64(vec![0; MORSEL]),
+                FlatKind::Codes => StageVals::Codes(vec![0; MORSEL]),
             },
             mask: [0u64; WORDS],
         }
     }
-}
 
-/// Gathers the FK staging buffers named by `which` for one morsel — every
-/// joined column translating through an FK reads it from here, so each
-/// distinct FK column is gathered at most once per morsel.
-fn stage_fks<R: RowSet>(
-    bound: &BoundPlan<'_>,
-    rows: R,
-    fk_stage: &mut [Vec<u32>],
-    which: &[usize],
-) {
-    let n = rows.len();
-    for &slot in which {
-        let fk = bound.fks[slot];
-        let dst = &mut fk_stage[slot];
-        match rows.base() {
-            Some(base) => {
-                for (d, &k) in dst.iter_mut().zip(&fk[base..base + n]) {
-                    *d = k as u32;
-                }
-            }
-            None => {
-                for (i, d) in dst.iter_mut().enumerate().take(n) {
-                    *d = fk[rows.row(i)] as u32;
-                }
-            }
+    fn flat(&self, n: usize) -> Flat<'_> {
+        match &self.vals {
+            StageVals::F64(v) => Flat::F64(&v[..n]),
+            StageVals::I64(v) => Flat::I64(&v[..n]),
+            StageVals::Codes(v) => Flat::Codes(&v[..n]),
         }
     }
 }
 
-/// Fills the stage buffers named by `which` for one morsel. Stage buffers
-/// hold the staged value at each morsel *position* (null rows hold a
-/// placeholder and have their mask bit cleared).
-fn stage_cols<R: RowSet>(
+/// Where one morsel's kernels read their columns: the morsel's rows plus
+/// the plan's stage slots.
+#[derive(Clone, Copy)]
+pub(crate) struct Morsel<'m> {
+    rows: Rows<'m>,
+    specs: &'m [BoundStage<'m>],
+    bufs: &'m [StageBuf],
+}
+
+impl<'m> Morsel<'m> {
+    /// A natural-order morsel without stage slots (direct views only).
+    pub(crate) fn natural(base: usize, len: usize) -> Morsel<'m> {
+        Morsel {
+            rows: Rows::Natural { base, len },
+            specs: &[],
+            bufs: &[],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// A column's values at the morsel's positions, with the validity mask
+    /// when positions can be null; `None` for per-row virtualized access.
+    #[inline]
+    fn flat(&self, col: ColView<'m>) -> Option<(Flat<'m>, Option<&'m Mask>)> {
+        match col {
+            ColView::Direct(data) => match self.rows {
+                Rows::Natural { base, len } => Some((data.slice(base, len), None)),
+                Rows::Gather(_) => unreachable!("direct views scan in natural order only"),
+            },
+            ColView::Staged(s) => {
+                let (spec, buf) = (&self.specs[s], &self.bufs[s]);
+                let mask = spec.nullable().then_some(&buf.mask);
+                Some(match (spec, self.rows) {
+                    (BoundStage::Own { col }, Rows::Natural { base, len }) => {
+                        (Flat::of(col.typed()).slice(base, len), mask)
+                    }
+                    _ => (buf.flat(self.len()), mask),
+                })
+            }
+            ColView::Virtual(_) => None,
+        }
+    }
+}
+
+/// Gathers `src[order[i]]` into `dst[i]` at the selected positions — a loop
+/// of independent loads.
+#[inline]
+fn gather<T: Copy>(src: &[T], order: &[u32], sel: &Mask, dst: &mut [T]) {
+    for_each_pos(sel, |i| dst[i] = src[order[i] as usize]);
+}
+
+/// Stages the FK buffers named by `which` for one morsel at the positions
+/// in `sel` (a natural-order morsel copies the whole contiguous range) —
+/// every joined column translating through an FK reads it from here, so
+/// each distinct FK column is gathered at most once per morsel.
+fn stage_fks(
     bound: &BoundPlan<'_>,
-    rows: R,
+    rows: Rows<'_>,
+    sel: &Mask,
+    fk_stage: &mut [Vec<u32>],
+    which: &[usize],
+) {
+    for &slot in which {
+        let fk = bound.fks[slot];
+        let dst = &mut fk_stage[slot];
+        match rows {
+            Rows::Natural { base, len } => {
+                for (d, &k) in dst.iter_mut().zip(&fk[base..base + len]) {
+                    *d = k as u32;
+                }
+            }
+            Rows::Gather(order) => for_each_pos(sel, |i| dst[i] = fk[order[i] as usize] as u32),
+        }
+    }
+}
+
+/// Stages the slots named by `which` for one morsel at the positions in
+/// `sel`: values at each morsel *position* (unstaged and null positions
+/// hold placeholders; null positions have their mask bit cleared). A fully
+/// valid fact column in a natural-order morsel is read in place and needs
+/// no staging.
+fn stage_cols(
+    bound: &BoundPlan<'_>,
+    rows: Rows<'_>,
+    sel: &Mask,
     fk_stage: &[Vec<u32>],
     bufs: &mut [StageBuf],
     which: &[usize],
 ) {
-    let n = rows.len();
     for &si in which {
         let (spec, buf) = (&bound.stages[si], &mut bufs[si]);
-        buf.mask = [u64::MAX; WORDS];
-        mask_tail(&mut buf.mask, n);
+        buf.mask = *sel;
+        let mask = &mut buf.mask;
+        let mut clear = |i: usize| mask[i / 64] &= !(1u64 << (i % 64));
         match spec {
             BoundStage::Own { col } => {
-                match col.typed() {
-                    ColumnSlice::F64(d) => match rows.base() {
-                        Some(base) => buf.nums[..n].copy_from_slice(&d[base..base + n]),
-                        None => {
-                            for (i, o) in buf.nums.iter_mut().enumerate().take(n) {
-                                *o = d[rows.row(i)];
-                            }
-                        }
-                    },
-                    ColumnSlice::I64(d) => {
-                        for (i, o) in buf.nums.iter_mut().enumerate().take(n) {
-                            *o = d[rows.row(i)] as f64;
-                        }
+                if let Rows::Gather(order) = rows {
+                    match (col.typed(), &mut buf.vals) {
+                        (ColumnSlice::F64(d), StageVals::F64(o)) => gather(d, order, sel, o),
+                        (ColumnSlice::I64(d), StageVals::I64(o)) => gather(d, order, sel, o),
+                        (ColumnSlice::Codes(d, _), StageVals::Codes(o)) => gather(d, order, sel, o),
+                        _ => unreachable!("stage buffer typed by its spec"),
                     }
-                    ColumnSlice::Codes(d, _) => match rows.base() {
-                        Some(base) => buf.codes[..n].copy_from_slice(&d[base..base + n]),
-                        None => {
-                            for (i, o) in buf.codes.iter_mut().enumerate().take(n) {
-                                *o = d[rows.row(i)];
-                            }
-                        }
-                    },
                 }
                 if let Some(v) = col.validity() {
-                    for i in 0..n {
+                    for_each_pos(sel, |i| {
                         if !v.contains(rows.row(i)) {
-                            buf.mask[i / 64] &= !(1u64 << (i % 64));
+                            clear(i);
                         }
-                    }
+                    });
                 }
             }
             BoundStage::JoinCodes { fk_slot, cache } => {
-                let fkb = &fk_stage[*fk_slot];
-                for (i, (o, &r)) in buf.codes.iter_mut().zip(&fkb[..n]).enumerate() {
-                    let c = cache[r as usize];
-                    if c == crate::plan::NULL_CODE {
-                        *o = 0;
-                        buf.mask[i / 64] &= !(1u64 << (i % 64));
+                let (fkb, StageVals::Codes(o)) = (&fk_stage[*fk_slot], &mut buf.vals) else {
+                    unreachable!("code stage holds codes")
+                };
+                for_each_pos(sel, |i| {
+                    let c = cache[fkb[i] as usize];
+                    if c == NULL_CODE {
+                        o[i] = 0;
+                        clear(i);
                     } else {
-                        *o = c;
+                        o[i] = c;
                     }
-                }
+                });
             }
             BoundStage::JoinNum {
                 fk_slot,
                 vals,
                 valid,
             } => {
-                let fkb = &fk_stage[*fk_slot];
-                for (o, &r) in buf.nums.iter_mut().zip(&fkb[..n]) {
-                    *o = vals[r as usize];
-                }
+                let (fkb, StageVals::F64(o)) = (&fk_stage[*fk_slot], &mut buf.vals) else {
+                    unreachable!("numeric stage holds floats")
+                };
+                for_each_pos(sel, |i| o[i] = vals[fkb[i] as usize]);
                 if let Some(v) = valid {
-                    for (i, &r) in fkb[..n].iter().enumerate() {
-                        if !v.contains(r as usize) {
-                            buf.mask[i / 64] &= !(1u64 << (i % 64));
+                    for_each_pos(sel, |i| {
+                        if !v.contains(fkb[i] as usize) {
+                            clear(i);
                         }
-                    }
+                    });
                 }
             }
         }
@@ -394,157 +524,132 @@ fn stage_cols<R: RowSet>(
 
 // -------------------------------------------------------------- kernels
 
-/// Clears every `out` bit whose staged-validity bit is unset.
-#[inline]
-fn and_mask(out: &mut Mask, mask: &Mask) {
-    for w in 0..WORDS {
-        out[w] &= mask[w];
+/// Writes `care & pred` into `out` one 64-row word at a time, skipping
+/// words `care` has already cleared.
+#[inline(always)]
+fn fill_words<T: Copy>(vals: &[T], care: &Mask, out: &mut Mask, pred: impl Fn(T) -> bool) {
+    *out = [0u64; WORDS];
+    for ((o, &c), chunk) in out.iter_mut().zip(care).zip(vals.chunks(64)) {
+        if c != 0 {
+            let mut bits = 0u64;
+            for (j, &v) in chunk.iter().enumerate() {
+                bits |= u64::from(pred(v)) << j;
+            }
+            *o = c & bits;
+        }
     }
 }
 
-/// Evaluates a filter tree over one morsel into `out` (bit = row matches).
-/// Null values never match, mirroring SQL WHERE semantics.
-pub(crate) fn eval_filter<R: RowSet>(
-    f: &BoundFilter<'_>,
-    stages: &[StageBuf],
-    rows: R,
+/// Writes `care & pred(row)` into `out` position by position — the
+/// per-row virtualized access.
+#[inline]
+fn fill_rows(
+    c: &BoundColumn<'_>,
+    rows: Rows<'_>,
+    care: &Mask,
     out: &mut Mask,
+    pred: impl Fn(&BoundColumn<'_>, usize) -> bool,
 ) {
-    let n = rows.len();
-    match f {
-        BoundFilter::Range { col, min, max } => {
-            range_mask(*col, stages, *min, *max, rows, out);
+    *out = [0u64; WORDS];
+    for_each_pos(care, |i| {
+        if pred(c, rows.row(i)) {
+            out[i / 64] |= 1u64 << (i % 64);
         }
+    });
+}
+
+/// Evaluates a filter tree over the `care` positions of one morsel:
+/// `out = care & filter`. Null values never match, mirroring SQL WHERE
+/// semantics.
+pub(crate) fn eval_filter(f: &BoundFilter<'_>, m: &Morsel<'_>, care: &Mask, out: &mut Mask) {
+    match f {
+        BoundFilter::Range { col, test } => match m.flat(*col) {
+            Some((flat, valid)) => {
+                let care = valid.map_or(*care, |v| and(care, v));
+                match (flat, test.ints) {
+                    (Flat::F64(d), _) => fill_words(d, &care, out, |v| test.f64(v)),
+                    (Flat::I64(d), Some((lo, hi))) => {
+                        fill_words(d, &care, out, |v| lo <= v && v <= hi)
+                    }
+                    (Flat::Codes(d), Some((lo, hi))) => {
+                        fill_words(d, &care, out, |c| lo <= i64::from(c) && i64::from(c) <= hi)
+                    }
+                    (Flat::I64(_) | Flat::Codes(_), None) => *out = [0u64; WORDS],
+                }
+            }
+            None => {
+                let ColView::Virtual(c) = col else {
+                    unreachable!("only virtual views lack a flat form")
+                };
+                fill_rows(c, m.rows, care, out, |c, r| {
+                    c.numeric(r).is_some_and(|v| test.f64(v))
+                });
+            }
+        },
         BoundFilter::In { col, member } => {
-            in_mask(*col, stages, member, rows, out);
+            let hit = |c: u32| member.get(c as usize).copied().unwrap_or(false);
+            match m.flat(*col) {
+                Some((Flat::Codes(d), valid)) => {
+                    let care = valid.map_or(*care, |v| and(care, v));
+                    fill_words(d, &care, out, hit);
+                }
+                // Numeric columns have no dictionary codes: nothing
+                // matches, mirroring the per-row accessor returning `None`.
+                Some((Flat::F64(_) | Flat::I64(_), _)) => *out = [0u64; WORDS],
+                None => {
+                    let ColView::Virtual(c) = col else {
+                        unreachable!("only virtual views lack a flat form")
+                    };
+                    fill_rows(c, m.rows, care, out, |c, r| c.code(r).is_some_and(hit));
+                }
+            }
         }
         BoundFilter::And(children) => {
-            *out = [u64::MAX; WORDS];
-            mask_tail(out, n);
-            let mut tmp = [0u64; WORDS];
+            // Each conjunct only evaluates the words still alive, and the
+            // AND stops once the running mask is empty.
+            *out = *care;
             for child in children {
-                eval_filter(child, stages, rows, &mut tmp);
-                for w in 0..WORDS {
-                    out[w] &= tmp[w];
+                if out.iter().all(|&w| w == 0) {
+                    break;
                 }
+                let alive = *out;
+                eval_filter(child, m, &alive, out);
             }
         }
         BoundFilter::Or(children) => {
+            // Each child only evaluates the words not yet full.
             *out = [0u64; WORDS];
-            let mut tmp = [0u64; WORDS];
+            let mut rest = *care;
+            let mut hit = [0u64; WORDS];
             for child in children {
-                eval_filter(child, stages, rows, &mut tmp);
+                if rest.iter().all(|&w| w == 0) {
+                    break;
+                }
+                eval_filter(child, m, &rest, &mut hit);
                 for w in 0..WORDS {
-                    out[w] |= tmp[w];
+                    out[w] |= hit[w];
+                    rest[w] &= !hit[w];
                 }
             }
         }
     }
 }
 
-#[inline]
-fn range_mask<R: RowSet>(
-    col: ColView<'_>,
-    stages: &[StageBuf],
-    min: f64,
-    max: f64,
-    rows: R,
-    out: &mut Mask,
-) {
-    let n = rows.len();
-    *out = [0u64; WORDS];
-    // One monomorphized flat comparison loop per arm (no per-row dispatch).
-    macro_rules! cmp {
-        ($get:expr) => {{
-            let get = $get;
-            for i in 0..n {
-                let v: f64 = get(i);
-                out[i / 64] |= u64::from(v >= min && v < max) << (i % 64);
-            }
-        }};
-    }
-    match col {
-        ColView::F64(d) => cmp!(|i: usize| d[rows.row(i)]),
-        ColView::I64(d) => cmp!(|i: usize| d[rows.row(i)] as f64),
-        ColView::Codes(d) => cmp!(|i: usize| f64::from(d[rows.row(i)])),
-        ColView::StagedNum(s) => {
-            let b = &stages[s];
-            cmp!(|i: usize| b.nums[i]);
-            and_mask(out, &b.mask);
-        }
-        ColView::StagedCodes(s) => {
-            let b = &stages[s];
-            cmp!(|i: usize| f64::from(b.codes[i]));
-            and_mask(out, &b.mask);
-        }
-        ColView::Virtual(c) => {
-            for i in 0..n {
-                if let Some(v) = c.numeric(rows.row(i)) {
-                    out[i / 64] |= u64::from(v >= min && v < max) << (i % 64);
-                }
-            }
-        }
-    }
-}
-
-#[inline]
-fn in_mask<R: RowSet>(
-    col: ColView<'_>,
-    stages: &[StageBuf],
-    member: &[bool],
-    rows: R,
-    out: &mut Mask,
-) {
-    let n = rows.len();
-    *out = [0u64; WORDS];
-    match col {
-        ColView::Codes(d) => {
-            for i in 0..n {
-                let hit = member
-                    .get(d[rows.row(i)] as usize)
-                    .copied()
-                    .unwrap_or(false);
-                out[i / 64] |= u64::from(hit) << (i % 64);
-            }
-        }
-        ColView::StagedCodes(s) => {
-            let b = &stages[s];
-            for i in 0..n {
-                let hit = member.get(b.codes[i] as usize).copied().unwrap_or(false);
-                out[i / 64] |= u64::from(hit) << (i % 64);
-            }
-            and_mask(out, &b.mask);
-        }
-        ColView::Virtual(c) => {
-            for i in 0..n {
-                if let Some(code) = c.code(rows.row(i)) {
-                    let hit = member.get(code as usize).copied().unwrap_or(false);
-                    out[i / 64] |= u64::from(hit) << (i % 64);
-                }
-            }
-        }
-        // Numeric columns have no dictionary codes: nothing matches,
-        // mirroring the per-row accessor returning `None`.
-        ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {}
-    }
+/// Slot lookup through an integer slot table. Placeholder values at
+/// unstaged or null positions may fall outside the table's span; they are
+/// clamped into it (their slots are never accumulated).
+#[inline(always)]
+fn table_slot(min: i64, slots: &[u32], v: i64) -> u32 {
+    slots[(v.wrapping_sub(min) as u64).min(slots.len() as u64 - 1) as usize]
 }
 
 /// Computes dense bin slots for one morsel. Rows with a null binned value
 /// get their `valid` bit cleared.
-fn dense_slots<R: RowSet>(
-    dims: &[BoundDim<'_>],
-    stages: &[StageBuf],
-    rows: R,
-    slots: &mut [u32],
-    valid: &mut Mask,
-) {
-    let n = rows.len();
-    *valid = [u64::MAX; WORDS];
-    mask_tail(valid, n);
+fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: &mut Mask) {
+    let n = m.len();
+    *valid = tail_mask(n);
 
-    // Fused 2D fast path: two nominal dimensions whose codes are flat,
-    // position-indexable slices (contiguous natural-order scan over direct
-    // or staged codes) compute both coordinates in a single pass —
+    // Fused 2D nominal path: both coordinates in a single pass —
     // `slot = c0 + c1 · stride` — instead of one slots-array round-trip per
     // dimension. Devirtualized star joins land here, so a joined×joined
     // binning slots exactly like a de-normalized one.
@@ -553,35 +658,15 @@ fn dense_slots<R: RowSet>(
         dict_len: stride,
     }, BoundDim::Nominal { col: c1, .. }] = dims
     {
-        // Flat position-indexed codes for the morsel, plus the staged
-        // validity mask to fold into `valid`.
-        fn flat<'x, R: RowSet>(
-            col: &ColView<'x>,
-            stages: &'x [StageBuf],
-            rows: R,
-            n: usize,
-        ) -> Option<(&'x [u32], Option<&'x Mask>)> {
-            match *col {
-                ColView::Codes(d) => rows.base().map(|b| (&d[b..b + n], None)),
-                ColView::StagedCodes(s) => {
-                    let b = &stages[s];
-                    Some((&b.codes[..n], Some(&b.mask)))
-                }
-                _ => None,
-            }
-        }
-        if let (Some((s0, m0)), Some((s1, m1))) =
-            (flat(c0, stages, rows, n), flat(c1, stages, rows, n))
+        if let (Some((Flat::Codes(s0), m0)), Some((Flat::Codes(s1), m1))) =
+            (m.flat(*c0), m.flat(*c1))
         {
             let stride = (*stride).max(1);
             for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
                 *slot = a + b * stride;
             }
-            if let Some(m) = m0 {
-                and_mask(valid, m);
-            }
-            if let Some(m) = m1 {
-                and_mask(valid, m);
+            for mask in [m0, m1].into_iter().flatten() {
+                *valid = and(valid, mask);
             }
             return;
         }
@@ -589,23 +674,7 @@ fn dense_slots<R: RowSet>(
 
     let mut stride = 1u32;
     for (di, dim) in dims.iter().enumerate() {
-        // One monomorphized flat slotting loop per arm; staged-null rows
-        // carry a placeholder 0 and are cleared from `valid` via the mask.
-        macro_rules! slot_loop {
-            ($get:expr) => {{
-                let get = $get;
-                if di == 0 {
-                    for (i, slot) in slots.iter_mut().enumerate().take(n) {
-                        *slot = get(i);
-                    }
-                } else {
-                    for (i, slot) in slots.iter_mut().enumerate().take(n) {
-                        *slot += get(i) * stride;
-                    }
-                }
-            }};
-        }
-        // Contiguous natural-order fast path over a flat source slice.
+        // One monomorphized flat slotting loop per value type.
         macro_rules! slot_span {
             ($src:expr, $of:expr) => {{
                 let of = $of;
@@ -620,204 +689,154 @@ fn dense_slots<R: RowSet>(
                 }
             }};
         }
-        match dim {
-            BoundDim::Nominal { col, dict_len } => {
-                let dict_len = *dict_len;
-                match *col {
-                    ColView::Codes(d) => match rows.base() {
-                        Some(base) => slot_span!(&d[base..base + n], |c| c),
-                        None => slot_loop!(|i: usize| d[rows.row(i)]),
-                    },
-                    ColView::StagedCodes(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        slot_span!(&b.codes[..n], |c| c);
-                    }
-                    ColView::Virtual(c) => {
-                        for i in 0..n {
-                            match c.code(rows.row(i)) {
-                                Some(code) => {
-                                    if di == 0 {
-                                        slots[i] = code;
-                                    } else {
-                                        slots[i] += code * stride;
-                                    }
-                                }
-                                None => valid[i / 64] &= !(1u64 << (i % 64)),
-                            }
-                        }
-                    }
-                    // Compilation rejects nominal binning over non-nominal
-                    // columns, and staged/direct views preserve the type.
-                    ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
-                        unreachable!("nominal binning compiled over a non-nominal column")
+        // The per-row virtualized arm; null rows leave `valid`.
+        macro_rules! slot_rows {
+            ($c:expr, $get:expr) => {{
+                let get = $get;
+                for i in 0..n {
+                    match get($c, m.rows.row(i)) {
+                        Some(s) if di == 0 => slots[i] = s,
+                        Some(s) => slots[i] += s * stride,
+                        None => valid[i / 64] &= !(1u64 << (i % 64)),
                     }
                 }
-                stride *= dict_len.max(1);
-            }
-            BoundDim::Width {
+            }};
+        }
+        let (col, len) = match dim {
+            BoundDim::Nominal { col, dict_len } => (col, *dict_len),
+            BoundDim::Width { col, dense, .. } => (
                 col,
-                width,
-                anchor,
-                dense,
-            } => {
-                let (lo, len) = dense.expect("dense path requires bounded bucket space");
-                // Arithmetic slotting: `floor((v−anchor)/width) − lo`,
-                // clamped into the bounded space (a no-op when stats are
-                // exact; it only guards slot-array bounds). The floor is
-                // computed as truncate-and-adjust — identical to
-                // `f64::floor` for every in-bounds value but free of the
-                // libm call baseline x86-64 lowers `floor()` to, which
-                // would otherwise dominate this loop. `lo` round-trips
-                // through f64 exactly, so the slot decodes to the same
-                // bucket index the hashed path computes, bit for bit.
-                let lo_f = lo as f64;
-                let top = (len - 1) as f64;
-                let slot_of = move |v: f64| -> u32 {
-                    let q = (v - anchor) / width;
-                    let t = q as i64 as f64; // trunc(q), exact in-bounds
-                    let fl = if t > q { t - 1.0 } else { t };
-                    (fl - lo_f).clamp(0.0, top) as u32
+                dense.expect("dense path requires bounded bucket space").1,
+            ),
+        };
+        let flat = m.flat(*col);
+        if let Some((_, Some(mask))) = flat {
+            *valid = and(valid, mask);
+        }
+        match (dim, flat) {
+            (BoundDim::Nominal { .. }, Some((Flat::Codes(d), _))) => slot_span!(d, |c| c),
+            (BoundDim::Nominal { .. }, Some(_)) => {
+                // Compilation rejects nominal binning over non-nominal
+                // columns, and stage slots preserve the type.
+                unreachable!("nominal binning compiled over a non-nominal column")
+            }
+            (BoundDim::Nominal { col, .. }, None) => {
+                let ColView::Virtual(c) = col else {
+                    unreachable!("only virtual views lack a flat form")
                 };
-                match *col {
-                    ColView::F64(d) => match rows.base() {
-                        Some(base) => slot_span!(&d[base..base + n], slot_of),
-                        None => slot_loop!(|i: usize| slot_of(d[rows.row(i)])),
-                    },
-                    ColView::I64(d) => slot_loop!(|i: usize| slot_of(d[rows.row(i)] as f64)),
-                    ColView::Codes(d) => {
-                        slot_loop!(|i: usize| slot_of(f64::from(d[rows.row(i)])))
+                slot_rows!(c, |c: &BoundColumn<'_>, r| c.code(r))
+            }
+            (BoundDim::Width { dense, table, .. }, Some((flat, _))) => {
+                let f = dense.expect("dense path requires bounded bucket space").0;
+                match (flat, table) {
+                    (Flat::I64(d), Some((min, t))) => slot_span!(d, |v| table_slot(*min, t, v)),
+                    (Flat::Codes(d), Some((min, t))) => {
+                        slot_span!(d, |c| table_slot(*min, t, i64::from(c)))
                     }
-                    ColView::StagedNum(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        slot_span!(&b.nums[..n], slot_of);
-                    }
-                    ColView::StagedCodes(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        slot_span!(&b.codes[..n], |c| slot_of(f64::from(c)));
-                    }
-                    ColView::Virtual(c) => {
-                        for i in 0..n {
-                            match c.numeric(rows.row(i)) {
-                                Some(v) => {
-                                    if di == 0 {
-                                        slots[i] = slot_of(v);
-                                    } else {
-                                        slots[i] += slot_of(v) * stride;
-                                    }
-                                }
-                                None => valid[i / 64] &= !(1u64 << (i % 64)),
-                            }
-                        }
-                    }
+                    (Flat::F64(d), _) => slot_span!(d, |v| f.slot_of(v)),
+                    (Flat::I64(d), None) => slot_span!(d, |v| f.slot_of(v as f64)),
+                    (Flat::Codes(d), None) => slot_span!(d, |c| f.slot_of(f64::from(c))),
                 }
-                stride *= len.max(1);
+            }
+            (BoundDim::Width { col, dense, .. }, None) => {
+                let f = dense.expect("dense path requires bounded bucket space").0;
+                let ColView::Virtual(c) = col else {
+                    unreachable!("only virtual views lack a flat form")
+                };
+                slot_rows!(c, |c: &BoundColumn<'_>, r| c
+                    .numeric(r)
+                    .map(|v| f.slot_of(v)))
             }
         }
+        stride *= len.max(1);
     }
 }
 
 /// Computes sparse bin keys (up to two coordinates) for one morsel. Rows
 /// with a null binned value get their `valid` bit cleared.
-fn sparse_keys<R: RowSet>(
+fn sparse_keys(
     dims: &[BoundDim<'_>],
-    stages: &[StageBuf],
-    rows: R,
+    m: &Morsel<'_>,
     k0: &mut [i64],
     k1: &mut [i64],
     valid: &mut Mask,
 ) {
-    let n = rows.len();
-    *valid = [u64::MAX; WORDS];
-    mask_tail(valid, n);
+    let n = m.len();
+    *valid = tail_mask(n);
     for (di, dim) in dims.iter().enumerate() {
         let out: &mut [i64] = if di == 0 { k0 } else { k1 };
-        macro_rules! key_loop {
-            ($get:expr) => {{
+        // The per-row virtualized arm; null rows leave `valid`.
+        macro_rules! key_rows {
+            ($col:expr, $get:expr) => {{
+                let ColView::Virtual(c) = $col else {
+                    unreachable!("only virtual views lack a flat form")
+                };
                 let get = $get;
-                for (i, o) in out.iter_mut().enumerate().take(n) {
-                    *o = get(i);
+                for i in 0..n {
+                    match get(c, m.rows.row(i)) {
+                        Some(k) => out[i] = k,
+                        None => valid[i / 64] &= !(1u64 << (i % 64)),
+                    }
                 }
             }};
         }
-        match dim {
-            BoundDim::Nominal { col, .. } => match *col {
-                ColView::Codes(d) => key_loop!(|i: usize| i64::from(d[rows.row(i)])),
-                ColView::StagedCodes(s) => {
-                    let b = &stages[s];
-                    and_mask(valid, &b.mask);
-                    key_loop!(|i: usize| i64::from(b.codes[i]));
+        let col = match dim {
+            BoundDim::Nominal { col, .. } | BoundDim::Width { col, .. } => col,
+        };
+        let flat = m.flat(*col);
+        if let Some((_, Some(mask))) = flat {
+            *valid = and(valid, mask);
+        }
+        match (dim, flat) {
+            (BoundDim::Nominal { .. }, Some((Flat::Codes(d), _))) => {
+                for (o, &c) in out.iter_mut().zip(d) {
+                    *o = i64::from(c);
                 }
-                ColView::Virtual(c) => {
-                    for i in 0..n {
-                        match c.code(rows.row(i)) {
-                            Some(code) => out[i] = i64::from(code),
-                            None => valid[i / 64] &= !(1u64 << (i % 64)),
+            }
+            (BoundDim::Nominal { .. }, Some(_)) => {
+                unreachable!("nominal binning compiled over a non-nominal column")
+            }
+            (BoundDim::Nominal { .. }, None) => {
+                key_rows!(col, |c: &BoundColumn<'_>, r| c.code(r).map(i64::from))
+            }
+            (BoundDim::Width { width, anchor, .. }, flat) => {
+                let key_of = |v: f64| ((v - anchor) / width).floor() as i64;
+                match flat {
+                    Some((flat, _)) => {
+                        for (i, o) in out.iter_mut().enumerate().take(n) {
+                            *o = key_of(flat.num(i));
                         }
                     }
-                }
-                ColView::F64(_) | ColView::I64(_) | ColView::StagedNum(_) => {
-                    unreachable!("nominal binning compiled over a non-nominal column")
-                }
-            },
-            BoundDim::Width {
-                col, width, anchor, ..
-            } => {
-                let key_of = move |v: f64| ((v - anchor) / width).floor() as i64;
-                match *col {
-                    ColView::F64(d) => key_loop!(|i: usize| key_of(d[rows.row(i)])),
-                    ColView::I64(d) => key_loop!(|i: usize| key_of(d[rows.row(i)] as f64)),
-                    ColView::Codes(d) => {
-                        key_loop!(|i: usize| key_of(f64::from(d[rows.row(i)])))
-                    }
-                    ColView::StagedNum(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        key_loop!(|i: usize| key_of(b.nums[i]));
-                    }
-                    ColView::StagedCodes(s) => {
-                        let b = &stages[s];
-                        and_mask(valid, &b.mask);
-                        key_loop!(|i: usize| key_of(f64::from(b.codes[i])));
-                    }
-                    ColView::Virtual(c) => {
-                        for i in 0..n {
-                            match c.numeric(rows.row(i)) {
-                                Some(v) => out[i] = key_of(v),
-                                None => valid[i / 64] &= !(1u64 << (i % 64)),
-                            }
-                        }
-                    }
+                    None => key_rows!(col, |c: &BoundColumn<'_>, r| c.numeric(r).map(key_of)),
                 }
             }
         }
     }
 }
 
-/// Per-row numeric value of a column view at morsel position `i` (`None`
-/// when null) — the sparse store's row-at-a-time measure accessor.
-#[inline(always)]
-fn measure_value<R: RowSet>(
-    col: &ColView<'_>,
-    stages: &[StageBuf],
-    rows: R,
-    i: usize,
-) -> Option<f64> {
-    match *col {
-        ColView::F64(d) => Some(d[rows.row(i)]),
-        ColView::I64(d) => Some(d[rows.row(i)] as f64),
-        ColView::Codes(d) => Some(f64::from(d[rows.row(i)])),
-        ColView::StagedNum(s) => {
-            let b = &stages[s];
-            (b.mask[i / 64] >> (i % 64) & 1 == 1).then(|| b.nums[i])
+/// A measure column resolved for one morsel: its flat values and validity
+/// mask, or the per-row virtualized accessor.
+type MeasureSrc<'m> = Result<(Flat<'m>, Option<&'m Mask>), BoundColumn<'m>>;
+
+impl<'m> Morsel<'m> {
+    fn measure(&self, col: ColView<'m>) -> MeasureSrc<'m> {
+        match (self.flat(col), col) {
+            (Some(flat), _) => Ok(flat),
+            (None, ColView::Virtual(c)) => Err(c),
+            (None, _) => unreachable!("only virtual views lack a flat form"),
         }
-        ColView::StagedCodes(s) => {
-            let b = &stages[s];
-            (b.mask[i / 64] >> (i % 64) & 1 == 1).then(|| f64::from(b.codes[i]))
+    }
+
+    /// Numeric value of a resolved measure at morsel position `i` (`None`
+    /// when null) — the sparse store's row-at-a-time measure accessor.
+    #[inline(always)]
+    fn measure_value(&self, src: &MeasureSrc<'m>, i: usize) -> Option<f64> {
+        match src {
+            Ok((flat, mask)) => {
+                (mask.is_none_or(|mk| mk[i / 64] >> (i % 64) & 1 == 1)).then(|| flat.num(i))
+            }
+            Err(c) => c.numeric(self.rows.row(i)),
         }
-        ColView::Virtual(c) => c.numeric(rows.row(i)),
     }
 }
 
@@ -945,28 +964,36 @@ impl BatchAcc {
         }
     }
 
-    /// Processes one morsel: stage → filter → bin → accumulate. Returns the
-    /// number of rows that passed the filter (cost-model input).
-    pub fn process_morsel<R: RowSet>(&mut self, bound: &BoundPlan<'_>, rows: R) -> usize {
+    /// Processes one morsel: stage → filter → gather → bin → accumulate.
+    /// Returns the number of rows that passed the filter (cost-model
+    /// input).
+    pub fn process_morsel(&mut self, bound: &BoundPlan<'_>, rows: Rows<'_>) -> usize {
         let n = rows.len();
         debug_assert!(n <= MORSEL);
         self.rows_seen += n as u64;
+        let all = tail_mask(n);
 
-        // 1. Stage the joined / nullable columns the *filter* reads.
-        stage_fks(bound, rows, &mut self.fk_stage, &bound.phases.filter_fks);
+        // 1. Stage the slots the *filter* reads, at every position.
+        let phases = bound.phases;
+        stage_fks(bound, rows, &all, &mut self.fk_stage, &phases.filter_fks);
         stage_cols(
             bound,
             rows,
+            &all,
             &self.fk_stage,
             &mut self.stages,
-            &bound.phases.filter_stages,
+            &phases.filter_stages,
         );
 
         // 2. Filter.
-        let mut fmask: Mask = [u64::MAX; WORDS];
-        mask_tail(&mut fmask, n);
+        let mut fmask = all;
         if let Some(filter) = &bound.filter {
-            eval_filter(filter, &self.stages, rows, &mut fmask);
+            let m = Morsel {
+                rows,
+                specs: &bound.stages,
+                bufs: &self.stages,
+            };
+            eval_filter(filter, &m, &all, &mut fmask);
         }
         let matched: usize = fmask.iter().map(|w| w.count_ones() as usize).sum();
         self.rows_matched += matched as u64;
@@ -976,16 +1003,22 @@ impl BatchAcc {
             return 0;
         }
 
-        // 3. Stage the remaining (binning / measure) columns.
-        stage_fks(bound, rows, &mut self.fk_stage, &bound.phases.post_fks);
+        // 3. Stage the remaining (binning / measure) slots, gathering only
+        //    the filter-passing positions.
+        stage_fks(bound, rows, &fmask, &mut self.fk_stage, &phases.post_fks);
         stage_cols(
             bound,
             rows,
+            &fmask,
             &self.fk_stage,
             &mut self.stages,
-            &bound.phases.post_stages,
+            &phases.post_stages,
         );
-        let stages = &self.stages;
+        let m = Morsel {
+            rows,
+            specs: &bound.stages,
+            bufs: &self.stages,
+        };
 
         // 4. Bin keys, 5. accumulate matching rows.
         let mut valid: Mask = [0u64; WORDS];
@@ -996,28 +1029,27 @@ impl BatchAcc {
                 touched,
                 ..
             } => {
-                dense_slots(&bound.dims, stages, rows, &mut self.slots, &mut valid);
+                dense_slots(&bound.dims, &m, &mut self.slots, &mut valid);
+                let live = and(&fmask, &valid);
                 // Counts pass. Full words (the common unfiltered case) skip
                 // the per-bit scan; iteration order is unchanged either way.
-                for w in 0..WORDS {
-                    let mut bits = fmask[w] & valid[w];
+                let mut count = |slot: u32| {
+                    let slot = slot as usize;
+                    if counts[slot] == 0 {
+                        touched.push(slot as u32);
+                    }
+                    counts[slot] += 1;
+                };
+                for (w, &bits) in live.iter().enumerate() {
                     if bits == u64::MAX {
-                        for &slot in &self.slots[w * 64..w * 64 + 64] {
-                            let slot = slot as usize;
-                            if counts[slot] == 0 {
-                                touched.push(slot as u32);
-                            }
-                            counts[slot] += 1;
-                        }
+                        self.slots[w * 64..w * 64 + 64]
+                            .iter()
+                            .for_each(|&s| count(s));
                     } else {
+                        let mut bits = bits;
                         while bits != 0 {
-                            let i = w * 64 + bits.trailing_zeros() as usize;
+                            count(self.slots[w * 64 + bits.trailing_zeros() as usize]);
                             bits &= bits - 1;
-                            let slot = self.slots[i] as usize;
-                            if counts[slot] == 0 {
-                                touched.push(slot as u32);
-                            }
-                            counts[slot] += 1;
                         }
                     }
                 }
@@ -1026,112 +1058,76 @@ impl BatchAcc {
                 // measure) the update sequence stays exactly row order.
                 let nmeasures = self.nmeasures;
                 let slots = &self.slots;
-                // A flat measure-update pass: walk the matching valid rows
-                // (optionally AND-ing a staged mask) and fold `get(i)`
-                // into the row's bin accumulator.
+                // A flat measure-update pass: walk the `$live` rows and
+                // fold `get(i)` into the row's bin accumulator.
                 macro_rules! measure_pass {
-                    ($m:expr, $mask:expr, $get:expr) => {{
+                    ($m:expr, $live:expr, $get:expr) => {{
                         let get = $get;
-                        for w in 0..WORDS {
-                            let mut bits = fmask[w] & valid[w] & $mask[w];
-                            if bits == u64::MAX {
-                                // Full word: straight-line row loop, same
-                                // update order as the bit scan below.
-                                for i in w * 64..w * 64 + 64 {
-                                    measures[slots[i] as usize * nmeasures + $m].update(get(i));
-                                }
-                            } else {
-                                while bits != 0 {
-                                    let i = w * 64 + bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    measures[slots[i] as usize * nmeasures + $m].update(get(i));
-                                }
-                            }
-                        }
+                        for_each_pos(&$live, |i| {
+                            measures[slots[i] as usize * nmeasures + $m].update(get(i))
+                        });
                     }};
                 }
-                let ones = [u64::MAX; WORDS];
-                for (m, col) in bound.measures.iter().enumerate() {
+                for (mi, col) in bound.measures.iter().enumerate() {
                     let Some(col) = col else { continue };
-                    match *col {
-                        ColView::F64(d) => measure_pass!(m, ones, |i: usize| d[rows.row(i)]),
-                        ColView::I64(d) => {
-                            measure_pass!(m, ones, |i: usize| d[rows.row(i)] as f64)
-                        }
-                        ColView::Codes(d) => {
-                            measure_pass!(m, ones, |i: usize| f64::from(d[rows.row(i)]))
-                        }
-                        ColView::StagedNum(s) => {
-                            let b = &stages[s];
-                            measure_pass!(m, b.mask, |i: usize| b.nums[i]);
-                        }
-                        ColView::StagedCodes(s) => {
-                            let b = &stages[s];
-                            measure_pass!(m, b.mask, |i: usize| f64::from(b.codes[i]));
-                        }
-                        ColView::Virtual(c) => {
-                            for w in 0..WORDS {
-                                let mut bits = fmask[w] & valid[w];
-                                while bits != 0 {
-                                    let i = w * 64 + bits.trailing_zeros() as usize;
-                                    bits &= bits - 1;
-                                    if let Some(v) = c.numeric(rows.row(i)) {
-                                        measures[slots[i] as usize * nmeasures + m].update(v);
-                                    }
+                    match m.measure(*col) {
+                        Ok((flat, mask)) => {
+                            let live = mask.map_or(live, |mk| and(&live, mk));
+                            match flat {
+                                Flat::F64(d) => measure_pass!(mi, live, |i: usize| d[i]),
+                                Flat::I64(d) => measure_pass!(mi, live, |i: usize| d[i] as f64),
+                                Flat::Codes(d) => {
+                                    measure_pass!(mi, live, |i: usize| f64::from(d[i]))
                                 }
                             }
                         }
+                        Err(c) => for_each_pos(&live, |i| {
+                            if let Some(v) = c.numeric(rows.row(i)) {
+                                measures[slots[i] as usize * nmeasures + mi].update(v);
+                            }
+                        }),
                     }
                 }
             }
             Store::Sparse { index, accs, .. } => {
-                sparse_keys(
-                    &bound.dims,
-                    stages,
-                    rows,
-                    &mut self.k0,
-                    &mut self.k1,
-                    &mut valid,
-                );
+                sparse_keys(&bound.dims, &m, &mut self.k0, &mut self.k1, &mut valid);
                 let two_d = bound.dims.len() == 2;
                 let nmeasures = self.nmeasures;
+                let srcs: Vec<Option<MeasureSrc<'_>>> = bound
+                    .measures
+                    .iter()
+                    .map(|c| c.map(|c| m.measure(c)))
+                    .collect();
                 // Consecutive rows often land in the same bin; memoize the
                 // last slot to skip the hash probe.
                 let mut last: Option<((i64, i64), u32)> = None;
-                for w in 0..WORDS {
-                    let mut bits = fmask[w] & valid[w];
-                    while bits != 0 {
-                        let i = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let key = (self.k0[i], if two_d { self.k1[i] } else { 0 });
-                        let slot = match last {
-                            Some((k, s)) if k == key => s,
-                            _ => {
-                                let s = *index.entry(key).or_insert_with(|| {
-                                    accs.push((
-                                        key,
-                                        BinAcc {
-                                            count: 0,
-                                            measures: vec![MeasureAcc::new(); nmeasures],
-                                        },
-                                    ));
-                                    (accs.len() - 1) as u32
-                                });
-                                last = Some((key, s));
-                                s
-                            }
-                        };
-                        let acc = &mut accs[slot as usize].1;
-                        acc.count += 1;
-                        for (m, col) in bound.measures.iter().enumerate() {
-                            if let Some(col) = col {
-                                if let Some(v) = measure_value(col, stages, rows, i) {
-                                    acc.measures[m].update(v);
-                                }
-                            }
+                for_each_pos(&and(&fmask, &valid), |i| {
+                    let key = (self.k0[i], if two_d { self.k1[i] } else { 0 });
+                    let slot = match last {
+                        Some((k, s)) if k == key => s,
+                        _ => {
+                            let s = *index.entry(key).or_insert_with(|| {
+                                accs.push((
+                                    key,
+                                    BinAcc {
+                                        count: 0,
+                                        measures: vec![MeasureAcc::new(); nmeasures],
+                                    },
+                                ));
+                                (accs.len() - 1) as u32
+                            });
+                            last = Some((key, s));
+                            s
+                        }
+                    };
+                    let acc = &mut accs[slot as usize].1;
+                    acc.count += 1;
+                    for (mi, src) in srcs.iter().enumerate() {
+                        if let Some(v) = src.as_ref().and_then(|s| m.measure_value(s, i)) {
+                            acc.measures[mi].update(v);
                         }
                     }
-                }
+                });
             }
         }
         matched

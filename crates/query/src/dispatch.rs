@@ -40,7 +40,7 @@
 //! spawn per grant.
 
 use crate::aggregate::GroupedAcc;
-use crate::batch::{BatchAcc, BoundPlan, Gather, Natural, MORSEL};
+use crate::batch::{BatchAcc, BoundPlan, Rows, MORSEL};
 use crate::plan::CompiledPlan;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -279,16 +279,14 @@ fn process_span(
     let mut pos = lo;
     while pos < hi {
         let take = MORSEL.min(hi - pos);
-        matched += match order {
-            Some(o) => acc.process_morsel(bound, Gather(&o[pos..pos + take])),
-            None => acc.process_morsel(
-                bound,
-                Natural {
-                    base: pos,
-                    len: take,
-                },
-            ),
+        let rows = match order {
+            Some(o) => Rows::Gather(&o[pos..pos + take]),
+            None => Rows::Natural {
+                base: pos,
+                len: take,
+            },
         };
+        matched += acc.process_morsel(bound, rows);
         pos += take;
     }
     matched

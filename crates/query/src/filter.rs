@@ -102,7 +102,7 @@ impl<'a> CompiledFilter<'a> {
     /// membership tables) and installs match masks word-by-word via
     /// [`SelVec::set_word`] — no per-row dispatch.
     pub fn eval_selvec(&self, num_rows: usize) -> SelVec {
-        use crate::batch::{eval_filter, Natural, MORSEL};
+        use crate::batch::{eval_filter, tail_mask, Morsel, MORSEL};
 
         // Arena of membership tables (one per IN node, preorder), then a
         // bound tree referencing them.
@@ -116,7 +116,7 @@ impl<'a> CompiledFilter<'a> {
         let mut base = 0usize;
         while base < num_rows {
             let n = MORSEL.min(num_rows - base);
-            eval_filter(&bound, &[], Natural { base, len: n }, &mut mask);
+            eval_filter(&bound, &Morsel::natural(base, n), &tail_mask(n), &mut mask);
             for (w, &bits) in mask.iter().enumerate().take(n.div_ceil(64)) {
                 sel.set_word(base / 64 + w, bits);
             }
@@ -157,8 +157,7 @@ impl<'a> CompiledFilter<'a> {
         match self {
             CompiledFilter::Range { col, min, max } => BoundFilter::Range {
                 col: col.view(),
-                min: *min,
-                max: *max,
+                test: crate::plan::RangeTest::new(*min, *max),
             },
             CompiledFilter::In { col, .. } => {
                 let member = &members[*next];

@@ -42,10 +42,29 @@
 //! Either way, the batch kernels only ever see flat slices (plus a staged
 //! validity mask); the legacy per-row virtualized access survives solely
 //! under [`JoinPolicy::Indirect`] as the differential/benchmark baseline.
+//!
+//! # Stage slots
+//!
+//! Every other planned column is a *stage slot* (`StageSpec`): a
+//! fact-table (or materialized) column, or a joined column translated
+//! through a per-plan cache. A fully valid fact column in a natural-order
+//! morsel is read in place; in a shuffled-order morsel it is gathered
+//! into its slot's buffer. Either way the kernels see position-indexed
+//! flat slices.
+//!
+//! # Compile-time tables
+//!
+//! Range predicates carry their exact integer twin (`RangeTest`), so
+//! integer columns compare without a float conversion. A dense width
+//! bucketing over an integer-domain column (`I64`, dictionary codes)
+//! whose value span fits in [`DENSE_BIN_CAP`] carries a slot table
+//! (`SlotTable`) built by running the arithmetic `WidthSlots::slot_of`
+//! on every integer of the span — bit-identical to it by construction.
 //! Devirtualization changes *wall-clock* cost only: the benchmark's virtual
 //! cost model ([`CompiledPlan::row_cost`], [`CompiledPlan::width_units`])
 //! still charges every logical join, exactly as before.
 
+use crate::batch::{Flat, FlatKind};
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
 use idebench_storage::{Column, ColumnSlice, Dataset, SelVec, Table};
 use rustc_hash::FxHashMap;
@@ -90,15 +109,14 @@ pub enum JoinPolicy {
 pub(crate) const NULL_CODE: u32 = u32::MAX;
 
 /// How morsel kernels physically access a planned column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Access {
-    /// Flat payload without nulls — kernels index it by fact row directly.
-    Direct,
-    /// Gathered per morsel into stage buffer `slot` (flat values plus a
-    /// validity mask); `nominal` picks the code vs. numeric buffer.
-    Staged { slot: usize, nominal: bool },
+    /// Stage slot `slot` (see [`StageSpec`]): flat values at morsel
+    /// positions plus a validity mask.
+    Staged { slot: usize },
     /// Legacy per-row virtualized access (fk indirection + null checks in
-    /// the row loop). Only under [`JoinPolicy::Indirect`].
+    /// the row loop). Only under [`JoinPolicy::Indirect`], and for
+    /// standalone-resolved columns.
     Virtual,
 }
 
@@ -123,23 +141,16 @@ pub struct PlannedColumn {
 impl PlannedColumn {
     /// Resolves `name` against the dataset.
     ///
-    /// Standalone resolution keeps legacy access (direct when flat and
-    /// fully valid, per-row virtualized otherwise);
-    /// [`CompiledPlan::compile`] upgrades its columns per [`JoinPolicy`].
+    /// Standalone resolution keeps per-row virtualized access;
+    /// [`CompiledPlan::compile`] assigns its columns stage slots per
+    /// [`JoinPolicy`].
     pub fn resolve(dataset: &Dataset, name: &str) -> Result<Self, CoreError> {
-        let make = |table: Arc<Table>, col: usize, fk: Option<(Arc<Table>, usize)>| {
-            let access = if fk.is_none() && table.column_at(col).validity().is_none() {
-                Access::Direct
-            } else {
-                Access::Virtual
-            };
-            PlannedColumn {
-                table,
-                col,
-                fk,
-                materialized: None,
-                access,
-            }
+        let make = |table: Arc<Table>, col: usize, fk: Option<(Arc<Table>, usize)>| PlannedColumn {
+            table,
+            col,
+            fk,
+            materialized: None,
+            access: Access::Virtual,
         };
         match dataset {
             Dataset::Denormalized(t) => Ok(make(Arc::clone(t), t.schema().index_of(name)?, None)),
@@ -167,15 +178,6 @@ impl PlannedColumn {
     /// column in the dimension table, independent of materialization.
     pub fn column(&self) -> &Column {
         self.table.column_at(self.col)
-    }
-
-    /// The column the kernels physically read: the fact-ordered
-    /// materialization when the join was devirtualized through the shared
-    /// cache, the logical column otherwise.
-    pub(crate) fn payload(&self) -> &Column {
-        self.materialized
-            .as_deref()
-            .unwrap_or_else(|| self.column())
     }
 
     /// The column's name in its home table.
@@ -221,38 +223,24 @@ impl PlannedColumn {
     #[inline]
     pub(crate) fn view(&self) -> ColView<'_> {
         match self.access {
-            Access::Direct => ColView::direct(self.payload().typed()),
-            Access::Staged { slot, nominal } => {
-                if nominal {
-                    ColView::StagedCodes(slot)
-                } else {
-                    ColView::StagedNum(slot)
-                }
-            }
+            Access::Staged { slot } => ColView::Staged(slot),
             Access::Virtual => ColView::Virtual(self.bind()),
         }
     }
 }
 
-/// A column as the morsel kernels consume it: a flat typed slice indexed by
-/// fact row (`Direct*` — no nulls by construction), a staged scratch slot
-/// indexed by morsel position with a validity mask (joined or nullable
-/// columns under [`JoinPolicy::Devirtualized`]), or the retained per-row
-/// virtualized accessor ([`JoinPolicy::Indirect`] and the scalar filter
-/// lowering). This is what collapsed the old per-kernel
-/// `(data, fk, validity)` match arms: every arm is flat except `Virtual`.
+/// A column as the morsel kernels consume it: a flat, fully valid payload
+/// indexed by fact row (the borrow-based scalar filter lowering, natural
+/// order only), a compiled plan's stage slot, or the retained per-row
+/// virtualized accessor ([`JoinPolicy::Indirect`]). Kernels resolve the
+/// first two to position-indexed [`Flat`] slices once per morsel; only
+/// `Virtual` is read row by row.
 #[derive(Clone, Copy)]
 pub(crate) enum ColView<'a> {
-    /// Direct float slice.
-    F64(&'a [f64]),
-    /// Direct integer slice.
-    I64(&'a [i64]),
-    /// Direct dictionary-code slice.
-    Codes(&'a [u32]),
-    /// Numeric stage buffer `slot` (values at morsel positions).
-    StagedNum(usize),
-    /// Code stage buffer `slot` (codes at morsel positions).
-    StagedCodes(usize),
+    /// Flat payload indexed by fact row, without nulls.
+    Direct(Flat<'a>),
+    /// Stage slot `slot` of the compiled plan.
+    Staged(usize),
     /// Per-row virtualized access.
     Virtual(BoundColumn<'a>),
 }
@@ -261,11 +249,58 @@ impl<'a> ColView<'a> {
     /// Direct view of a flat, fully-valid payload.
     #[inline]
     pub(crate) fn direct(data: ColumnSlice<'a>) -> Self {
-        match data {
-            ColumnSlice::F64(d) => ColView::F64(d),
-            ColumnSlice::I64(d) => ColView::I64(d),
-            ColumnSlice::Codes(d, _) => ColView::Codes(d),
-        }
+        ColView::Direct(Flat::of(data))
+    }
+}
+
+/// A half-open range test `[min, max)` over numeric values, with its exact
+/// integer twin for `I64` and dictionary-code columns.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RangeTest {
+    pub min: f64,
+    pub max: f64,
+    /// The inclusive `i64` interval `[lo, hi]` of integers `v` with
+    /// `min <= v as f64 < max`; `None` when no integer passes.
+    pub ints: Option<(i64, i64)>,
+}
+
+impl RangeTest {
+    pub(crate) fn new(min: f64, max: f64) -> RangeTest {
+        // `v as f64` is monotone in `v`, so each bound cuts the integers
+        // at one point; a binary search finds it exactly, for every
+        // bound including NaN and the limits of `i64`.
+        let first = |pred: &dyn Fn(i64) -> bool| -> Option<i64> {
+            if !pred(i64::MAX) {
+                return None;
+            }
+            let (mut lo, mut hi) = (i128::from(i64::MIN), i128::from(i64::MAX));
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if pred(mid as i64) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            Some(lo as i64)
+        };
+        let lo = first(&|v| v as f64 >= min);
+        let hi = match first(&|v| (v as f64).partial_cmp(&max) != Some(std::cmp::Ordering::Less)) {
+            None => Some(i64::MAX),
+            Some(i64::MIN) => None,
+            Some(end) => Some(end - 1),
+        };
+        let ints = match (lo, hi) {
+            (Some(lo), Some(hi)) if lo <= hi => Some((lo, hi)),
+            _ => None,
+        };
+        RangeTest { min, max, ints }
+    }
+
+    /// Whether a float value passes.
+    #[inline(always)]
+    pub(crate) fn f64(&self, v: f64) -> bool {
+        v >= self.min && v < self.max
     }
 }
 
@@ -326,8 +361,7 @@ pub(crate) enum PlannedFilter {
     /// Half-open quantitative range.
     Range {
         col: PlannedColumn,
-        min: f64,
-        max: f64,
+        test: RangeTest,
     },
     /// Nominal membership, as a dictionary-length lookup table: IN-list
     /// hashing is paid once at compile time, never per row.
@@ -344,8 +378,7 @@ impl PlannedFilter {
         Ok(match expr {
             FilterExpr::Pred(Predicate::Range { column, min, max }) => PlannedFilter::Range {
                 col: PlannedColumn::resolve(dataset, column)?,
-                min: *min,
-                max: *max,
+                test: RangeTest::new(*min, *max),
             },
             FilterExpr::Pred(Predicate::In { column, values }) => {
                 let col = PlannedColumn::resolve(dataset, column)?;
@@ -440,6 +473,65 @@ pub(crate) struct DenseWidth {
     pub len: usize,
 }
 
+/// The arithmetic slot function of a dense width bucketing:
+/// `floor((v − anchor)/width) − lo`, clamped into `[0, len)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WidthSlots {
+    anchor: f64,
+    width: f64,
+    lo: f64,
+    top: f64,
+}
+
+impl WidthSlots {
+    pub(crate) fn new(dense: DenseWidth, width: f64, anchor: f64) -> WidthSlots {
+        WidthSlots {
+            anchor,
+            width,
+            // `lo` round-trips through f64 exactly (see `dense_width`).
+            lo: dense.lo as f64,
+            top: (dense.len - 1) as f64,
+        }
+    }
+
+    /// The slot of value `v`. The clamp is a no-op when stats are exact;
+    /// it only guards slot-array bounds. The floor is computed as
+    /// truncate-and-adjust — identical to `f64::floor` for every in-bounds
+    /// value but free of the libm call baseline x86-64 lowers `floor()`
+    /// to, which would otherwise dominate the kernel loop. The slot decodes
+    /// to the same bucket index the hashed path computes, bit for bit.
+    #[inline(always)]
+    pub(crate) fn slot_of(self, v: f64) -> u32 {
+        let q = (v - self.anchor) / self.width;
+        let t = q as i64 as f64; // trunc(q), exact in-bounds
+        let fl = if t > q { t - 1.0 } else { t };
+        (fl - self.lo).clamp(0.0, self.top) as u32
+    }
+}
+
+/// The slot of every integer in `[min, min + slots.len())` under one dense
+/// width bucketing: `slots[v − min] == slot_of(v as f64)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct SlotTable {
+    pub min: i64,
+    pub slots: Vec<u32>,
+}
+
+impl SlotTable {
+    /// Builds the table over the integer span `[min, max]`, or `None` when
+    /// the span holds more than [`DENSE_BIN_CAP`] integers.
+    pub(crate) fn build(f: WidthSlots, min: i64, max: i64) -> Option<SlotTable> {
+        let span = max.checked_sub(min)?;
+        if !(0..DENSE_BIN_CAP as i64).contains(&span) {
+            return None;
+        }
+        Some(SlotTable {
+            min,
+            slots: (min..=max).map(|v| f.slot_of(v as f64)).collect(),
+        })
+    }
+}
+
 /// One planned binning dimension.
 #[derive(Debug, Clone)]
 pub(crate) enum PlannedDim {
@@ -448,11 +540,14 @@ pub(crate) enum PlannedDim {
     /// Fixed-width bucketing: bin = `floor((x - anchor) / width)`. `dense`
     /// is the arithmetic slot lowering when column statistics bound the
     /// bucket space; `None` leaves the dimension on the hashed path.
+    /// `table` is the dense lowering's slot table over an integer-domain
+    /// column's value span.
     Width {
         col: PlannedColumn,
         width: f64,
         anchor: f64,
         dense: Option<DenseWidth>,
+        table: Option<SlotTable>,
     },
 }
 
@@ -507,11 +602,12 @@ impl ColRef {
 }
 
 /// One per-morsel staging instruction of a compiled plan. Stage buffer `i`
-/// of the accumulator is filled by `stages[i]` at the top of every morsel;
-/// kernels then consume flat slices plus the staged validity mask.
+/// of the accumulator is filled by `stages[i]` in every morsel that reads
+/// it; kernels then consume flat slices plus the staged validity mask.
 #[derive(Debug, Clone)]
 pub(crate) enum StageSpec {
-    /// Gather the column's own rows (folding its validity into the mask).
+    /// The column's own rows: read in place in natural order (folding any
+    /// validity into the mask), gathered through the order otherwise.
     Own(ColRef),
     /// Translate the staged FK buffer `fk_slot` through a per-plan
     /// dimension-row code cache ([`NULL_CODE`] marks null dimension rows).
@@ -530,12 +626,16 @@ pub(crate) enum StageSpec {
 }
 
 impl StageSpec {
-    /// Whether the staged values are dictionary codes (vs. numerics).
-    pub(crate) fn nominal(&self) -> bool {
+    /// The type of the staged values.
+    pub(crate) fn kind(&self) -> FlatKind {
         match self {
-            StageSpec::Own(col) => matches!(col.get().typed(), ColumnSlice::Codes(..)),
-            StageSpec::JoinCodes { .. } => true,
-            StageSpec::JoinNum { .. } => false,
+            StageSpec::Own(col) => match col.get().typed() {
+                ColumnSlice::F64(_) => FlatKind::F64,
+                ColumnSlice::I64(_) => FlatKind::I64,
+                ColumnSlice::Codes(..) => FlatKind::Codes,
+            },
+            StageSpec::JoinCodes { .. } => FlatKind::Codes,
+            StageSpec::JoinNum { .. } => FlatKind::F64,
         }
     }
 }
@@ -677,88 +777,73 @@ impl CompiledPlan {
         let mut assign = |col: &mut PlannedColumn| {
             let key = (Arc::as_ptr(&col.table) as usize, col.col);
             if let Some((access, materialized)) = memo.get(&key) {
-                col.access = access.clone();
+                col.access = *access;
                 col.materialized = materialized.clone();
                 return;
             }
-            let push_stage = |stages: &mut Vec<StageSpec>, spec: StageSpec| Access::Staged {
-                nominal: spec.nominal(),
-                slot: {
-                    stages.push(spec);
-                    stages.len() - 1
-                },
-            };
-            let (access, materialized) = match policy {
-                JoinPolicy::Indirect => (col.access.clone(), None),
-                JoinPolicy::Devirtualized => {
-                    let materialized = match (&col.fk, star) {
-                        (Some(_), Some(s)) => s.materialize_join(col.name()),
-                        _ => None,
-                    };
-                    if let Some(m) = &materialized {
-                        let access = if m.validity().is_none() {
-                            Access::Direct
-                        } else {
-                            push_stage(&mut stages, StageSpec::Own(ColRef::Owned(Arc::clone(m))))
-                        };
-                        (access, materialized)
-                    } else if let Some((fact, fk_idx)) = &col.fk {
-                        // Joined but not materialized (shared cache full, or
-                        // no star): per-plan dimension-row caches, unless
-                        // the dimension outgrows the u32 staging encoding.
-                        let dim_col = col.column();
-                        if dim_col.len() >= u32::MAX as usize {
-                            (Access::Virtual, None)
-                        } else {
-                            let fk_key = (Arc::clone(fact), *fk_idx);
-                            let fk_slot = fk_cols
-                                .iter()
-                                .position(|(t, i)| Arc::ptr_eq(t, fact) && i == fk_idx)
-                                .unwrap_or_else(|| {
-                                    fk_cols.push(fk_key);
-                                    fk_cols.len() - 1
-                                });
-                            let spec =
-                                match dim_col.typed() {
-                                    ColumnSlice::Codes(codes, _) => StageSpec::JoinCodes {
-                                        fk_slot,
-                                        cache: Arc::new(
-                                            codes
-                                                .iter()
-                                                .enumerate()
-                                                .map(|(i, &c)| {
-                                                    if dim_col.is_valid(i) {
-                                                        c
-                                                    } else {
-                                                        NULL_CODE
-                                                    }
-                                                })
-                                                .collect(),
-                                        ),
-                                    },
-                                    _ => StageSpec::JoinNum {
-                                        fk_slot,
-                                        vals: Arc::new(
-                                            (0..dim_col.len())
-                                                .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
-                                                .collect(),
-                                        ),
-                                        valid: dim_col.validity().cloned(),
-                                    },
-                                };
-                            (push_stage(&mut stages, spec), None)
-                        }
-                    } else if col.column().validity().is_none() {
-                        (Access::Direct, None)
-                    } else {
-                        // Nullable fact column: stage it so kernels fold the
-                        // validity bitmap into the morsel mask once.
-                        let spec = StageSpec::Own(ColRef::Table(Arc::clone(&col.table), col.col));
-                        (push_stage(&mut stages, spec), None)
-                    }
+            let mut push_stage = |spec: StageSpec| {
+                stages.push(spec);
+                Access::Staged {
+                    slot: stages.len() - 1,
                 }
             };
-            memo.insert(key, (access.clone(), materialized.clone()));
+            let materialized = match (policy, &col.fk, star) {
+                (JoinPolicy::Devirtualized, Some(_), Some(s)) => s.materialize_join(col.name()),
+                _ => None,
+            };
+            let access = if let Some(m) = &materialized {
+                push_stage(StageSpec::Own(ColRef::Owned(Arc::clone(m))))
+            } else if let Some((fact, fk_idx)) = &col.fk {
+                // Joined but not materialized (shared cache full, or no
+                // star): per-plan dimension-row caches, unless the policy
+                // keeps the per-row indirection or the dimension outgrows
+                // the u32 staging encoding.
+                let dim_col = col.column();
+                if policy == JoinPolicy::Indirect || dim_col.len() >= u32::MAX as usize {
+                    Access::Virtual
+                } else {
+                    let fk_key = (Arc::clone(fact), *fk_idx);
+                    let fk_slot = fk_cols
+                        .iter()
+                        .position(|(t, i)| Arc::ptr_eq(t, fact) && i == fk_idx)
+                        .unwrap_or_else(|| {
+                            fk_cols.push(fk_key);
+                            fk_cols.len() - 1
+                        });
+                    push_stage(match dim_col.typed() {
+                        ColumnSlice::Codes(codes, _) => StageSpec::JoinCodes {
+                            fk_slot,
+                            cache: Arc::new(
+                                codes
+                                    .iter()
+                                    .enumerate()
+                                    .map(|(i, &c)| if dim_col.is_valid(i) { c } else { NULL_CODE })
+                                    .collect(),
+                            ),
+                        },
+                        _ => StageSpec::JoinNum {
+                            fk_slot,
+                            vals: Arc::new(
+                                (0..dim_col.len())
+                                    .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
+                                    .collect(),
+                            ),
+                            valid: dim_col.validity().cloned(),
+                        },
+                    })
+                }
+            } else if policy == JoinPolicy::Indirect && col.column().validity().is_some() {
+                Access::Virtual
+            } else {
+                // Fact column: read in place (natural order) or gathered
+                // (shuffled order); a nullable one folds its validity
+                // bitmap into the morsel mask once.
+                push_stage(StageSpec::Own(ColRef::Table(
+                    Arc::clone(&col.table),
+                    col.col,
+                )))
+            };
+            memo.insert(key, (access, materialized.clone()));
             col.access = access;
             col.materialized = materialized;
         };
@@ -801,11 +886,13 @@ impl CompiledPlan {
                 }
                 let col = PlannedColumn::resolve(dataset, dimension)?;
                 let dense = Self::dense_width(&col, *width, *anchor);
+                let table = dense.and_then(|d| Self::slot_table(&col, d, *width, *anchor));
                 PlannedDim::Width {
                     col,
                     width: *width,
                     anchor: *anchor,
                     dense,
+                    table,
                 }
             }
             BinDef::Count { dimension, .. } => {
@@ -844,6 +931,31 @@ impl CompiledPlan {
             lo: lo as i64,
             len: span as usize + 1,
         })
+    }
+
+    /// The slot table of a dense bucketing over an integer-domain column
+    /// (`I64` or dictionary codes), when its value span is small enough.
+    /// The f64 statistics are exact integers below 2^53, where the table
+    /// stops.
+    fn slot_table(
+        col: &PlannedColumn,
+        dense: DenseWidth,
+        width: f64,
+        anchor: f64,
+    ) -> Option<SlotTable> {
+        if matches!(col.column().typed(), ColumnSlice::F64(_)) {
+            return None;
+        }
+        let (min, max) = col.column().numeric_min_max()?;
+        const EXACT: f64 = (1u64 << 53) as f64;
+        if min < -EXACT || max > EXACT {
+            return None;
+        }
+        SlotTable::build(
+            WidthSlots::new(dense, width, anchor),
+            min as i64,
+            max as i64,
+        )
     }
 
     /// Splits staging into the filter phase (stage slots the filter reads,
@@ -1233,10 +1345,14 @@ mod tests {
         let ds = star();
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
         let col = plan.dims[0].col();
-        assert!(matches!(col.access, Access::Direct), "materialized → flat");
+        assert!(matches!(col.access, Access::Staged { slot: 0 }));
         let mat = col.materialized.as_ref().expect("materialized column");
         assert_eq!(mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
-        assert!(plan.stages.is_empty() && plan.fk_cols.is_empty());
+        assert!(
+            matches!(&plan.stages[0], StageSpec::Own(ColRef::Owned(m)) if Arc::ptr_eq(m, mat)),
+            "materialized → its own flat slot"
+        );
+        assert!(plan.fk_cols.is_empty(), "no per-morsel FK staging");
         // The cost model still bills the logical join.
         assert_eq!(plan.joined_columns(), 1);
         assert_eq!(plan.row_cost(), 2);
@@ -1258,22 +1374,17 @@ mod tests {
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
         let col = plan.dims[0].col();
         assert!(
-            matches!(
-                col.access,
-                Access::Staged {
-                    slot: 0,
-                    nominal: true
-                }
-            ),
+            matches!(col.access, Access::Staged { slot: 0 }),
             "declined materialization stages through the FK"
         );
         assert!(col.materialized.is_none());
         assert_eq!(plan.fk_cols.len(), 1, "one staged FK column");
         match &plan.stages[..] {
-            [StageSpec::JoinCodes { fk_slot: 0, cache }] => {
+            // The joined dimension, then the fact measure's own slot.
+            [StageSpec::JoinCodes { fk_slot: 0, cache }, StageSpec::Own(ColRef::Table(..))] => {
                 assert_eq!(cache.as_slice(), &[0, 1], "dim-row-indexed codes");
             }
-            other => panic!("expected one JoinCodes stage, got {other:?}"),
+            other => panic!("expected JoinCodes and Own stages, got {other:?}"),
         }
         assert_eq!(ds.as_star().unwrap().join_cache_stats().declined, 1);
     }
@@ -1301,8 +1412,9 @@ mod tests {
             })),
         );
         let plan = CompiledPlan::compile(&ds, &q).unwrap();
-        assert_eq!(plan.stages.len(), 1);
-        assert!(plan.phases.filter_stages.is_empty());
+        // Slot 0: the joined carrier; slot 1: the fact column dep_delay.
+        assert_eq!(plan.stages.len(), 2);
+        assert_eq!(plan.phases.filter_stages, vec![1]);
         assert!(plan.phases.filter_fks.is_empty());
         assert_eq!(plan.phases.post_stages, vec![0]);
         assert_eq!(plan.phases.post_fks, vec![0]);
@@ -1328,7 +1440,12 @@ mod tests {
         let ds = star();
         let plan = CompiledPlan::compile_with(&ds, &nominal_query(), JoinPolicy::Indirect).unwrap();
         assert!(matches!(plan.dims[0].col().access, Access::Virtual));
-        assert!(plan.stages.is_empty() && plan.fk_cols.is_empty());
+        // Only the fact measure is a stage slot; no FK is staged.
+        assert!(matches!(
+            &plan.stages[..],
+            [StageSpec::Own(ColRef::Table(..))]
+        ));
+        assert!(plan.fk_cols.is_empty());
         assert_eq!(plan.join_policy(), JoinPolicy::Indirect);
         // No materialization was even attempted.
         assert_eq!(ds.as_star().unwrap().join_cache_stats().misses, 0);
@@ -1368,18 +1485,128 @@ mod tests {
         assert_eq!(plan.stages.len(), 1, "dim and measure share the stage");
         assert!(matches!(
             plan.dims[0].col().access,
-            Access::Staged {
-                slot: 0,
-                nominal: false
-            }
+            Access::Staged { slot: 0 }
         ));
         assert!(matches!(
             plan.measures[0].as_ref().unwrap().access,
-            Access::Staged {
-                slot: 0,
-                nominal: false
+            Access::Staged { slot: 0 }
+        ));
+    }
+
+    fn int_width_plan(vals: &[i64], width: f64, anchor: f64) -> CompiledPlan {
+        let mut b = TableBuilder::with_fields("t", &[("m", DataType::Int)]);
+        for &v in vals {
+            b.push_row(&[v.into()]).unwrap();
+        }
+        let ds = Dataset::Denormalized(Arc::new(b.finish()));
+        let spec = VizSpec::new(
+            "v",
+            "t",
+            vec![BinDef::Width {
+                dimension: "m".into(),
+                width,
+                anchor,
+            }],
+            vec![AggregateSpec::count()],
+        );
+        CompiledPlan::compile(&ds, &Query::for_viz(&spec, None)).unwrap()
+    }
+
+    #[test]
+    fn integer_slot_tables_match_the_arithmetic_slots() {
+        let vals = [-7i64, -3, 0, 2, 5, 11, 40];
+        for (width, anchor) in [
+            (1.0, 0.0),
+            (0.25, -3.7),
+            (0.5, -0.5),
+            (0.1, 2.0),
+            (3.0, -11.25),
+            (7.5, -100.0),
+        ] {
+            let plan = int_width_plan(&vals, width, anchor);
+            let PlannedDim::Width {
+                dense: Some(dense),
+                table: Some(table),
+                ..
+            } = &plan.dims[0]
+            else {
+                panic!("width {width}: expected a dense dimension with a slot table");
+            };
+            assert_eq!(table.min, -7);
+            assert_eq!(table.slots.len(), 48, "one slot per integer in -7..=40");
+            let f = WidthSlots::new(*dense, width, anchor);
+            for (k, &slot) in table.slots.iter().enumerate() {
+                let v = table.min + k as i64;
+                assert_eq!(
+                    slot,
+                    f.slot_of(v as f64),
+                    "width {width} anchor {anchor} v {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn integer_spans_above_the_cap_keep_arithmetic_slots() {
+        // 4·cap integers in 2048 buckets: a dense bin space, but a table
+        // over the value span would exceed the cap.
+        let plan = int_width_plan(&[0, 4 * DENSE_BIN_CAP as i64], 16.0, 0.0);
+        assert!(matches!(
+            &plan.dims[0],
+            PlannedDim::Width {
+                dense: Some(_),
+                table: None,
+                ..
             }
         ));
+        // The cap is inclusive of `DENSE_BIN_CAP` entries.
+        let f = WidthSlots::new(DenseWidth { lo: 0, len: 1 }, 1e9, 0.0);
+        let cap = DENSE_BIN_CAP as i64;
+        assert_eq!(
+            SlotTable::build(f, 0, cap - 1).map(|t| t.slots.len()),
+            Some(DENSE_BIN_CAP)
+        );
+        assert_eq!(SlotTable::build(f, 0, cap), None);
+        // Float columns never take the table path.
+        let plan = CompiledPlan::compile(&denorm(), &width_query(10.0)).unwrap();
+        assert!(matches!(
+            &plan.dims[0],
+            PlannedDim::Width {
+                dense: Some(_),
+                table: None,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn range_tests_cut_the_integers_exactly() {
+        let check = |min: f64, max: f64| {
+            let t = RangeTest::new(min, max);
+            for v in -20i64..=20 {
+                let inside = t.ints.is_some_and(|(lo, hi)| lo <= v && v <= hi);
+                assert_eq!(inside, t.f64(v as f64), "[{min}, {max}) at {v}");
+            }
+        };
+        for (min, max) in [
+            (1.5, 9.25),
+            (-3.25, 7.75),
+            (2.0, 2.0),
+            (3.0, 1.0),
+            (-0.0, 0.5),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (f64::NAN, 4.0),
+            (-4.0, f64::NAN),
+        ] {
+            check(min, max);
+        }
+        // Beyond 2^53 neighbouring integers share a float; the cut still
+        // follows the `as f64` conversion.
+        let big = (1u64 << 60) as f64;
+        let t = RangeTest::new(big, f64::INFINITY);
+        let (lo, hi) = t.ints.unwrap();
+        assert!(lo as f64 >= big && ((lo - 1) as f64) < big);
+        assert_eq!(hi, i64::MAX);
     }
 
     #[test]

@@ -61,7 +61,16 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Clone, Copy)]
 struct BodyPtr(*const (dyn Fn() + Sync + 'static));
 
+// SAFETY: `BodyPtr` has one field, `.0`, a raw pointer to a
+// `dyn Fn() + Sync` body. Moving it to a worker thread only lets that
+// thread form `&dyn Fn() + Sync`, and a shared reference to a `Sync` value
+// may be used from any thread. The pointee outlives every such use: the
+// pointer is dereferenced only while the `scope_run` call that created it
+// is still blocked (module docs, "Safety").
 unsafe impl Send for BodyPtr {}
+// SAFETY: a shared `&BodyPtr` only allows copying `.0` out, which is the
+// `Send` case above; `BodyPtr` has no interior mutability and no other
+// field.
 unsafe impl Sync for BodyPtr {}
 
 /// Claim accounting of one span: how many claims are still queued, how many
@@ -145,7 +154,12 @@ impl ScanPool {
             body();
             return;
         }
-        // Lifetime erasure — sound per the module-level safety argument.
+        // SAFETY: the transmute changes only the lifetime of the trait
+        // object: the `Fn() + Sync` vtable and data pointer are unchanged.
+        // The `'static` reference escapes into `SpanTask::body`, and every
+        // dereference of it happens before this call returns: the
+        // `ScopeGuard` below revokes the still-queued claims and waits for
+        // the running ones, on normal return and on unwind alike.
         let body_static: &'static (dyn Fn() + Sync + 'static) = unsafe {
             std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync + 'static)>(body)
         };
@@ -257,6 +271,10 @@ fn worker_loop(shared: &PoolShared) {
             // span's caller waits forever); the panic itself is recorded
             // and re-raised by the caller.
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: `running` was incremented under the task lock
+                // while the claim was not revoked, so the span's caller is
+                // still blocked in `ScopeGuard::drop` and the body it
+                // borrowed is alive until `running` drops back below.
                 (unsafe { &*task.body.0 })();
             }));
             let mut st = lock(&task.state);

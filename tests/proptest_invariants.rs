@@ -343,7 +343,12 @@ fn arb_filter(which: u8, lo: f64, hi: f64) -> FilterExpr {
             range("distance", lo.abs() * 5.0, 200.0 + hi.abs() * 30.0),
         ]),
         6 => FilterExpr::And(vec![
-            span("day_of_week", lo / 10.0, 3.5 + hi / 20.0),
+            // Whole-number bounds: the integer cut lands exactly on them.
+            span(
+                "day_of_week",
+                (lo / 10.0).round(),
+                3.0 + (hi / 20.0).round(),
+            ),
             FilterExpr::Or(vec![span("month", 0.5, 12.5), isin(&["C03"])]),
             range("arr_delay", lo, hi),
         ]),
