@@ -352,12 +352,19 @@ pub(crate) struct StageBuf {
 }
 
 impl StageBuf {
+    /// An own-column slot allocates its values on its first gather: a
+    /// natural-order scan reads the column in place and never needs them.
     fn for_spec(spec: &StageSpec) -> StageBuf {
+        let len = if matches!(spec, StageSpec::Own(_)) {
+            0
+        } else {
+            MORSEL
+        };
         StageBuf {
             vals: match spec.kind() {
-                FlatKind::F64 => StageVals::F64(vec![0.0; MORSEL]),
-                FlatKind::I64 => StageVals::I64(vec![0; MORSEL]),
-                FlatKind::Codes => StageVals::Codes(vec![0; MORSEL]),
+                FlatKind::F64 => StageVals::F64(vec![0.0; len]),
+                FlatKind::I64 => StageVals::I64(vec![0; len]),
+                FlatKind::Codes => StageVals::Codes(vec![0; len]),
             },
             mask: [0u64; WORDS],
         }
@@ -422,7 +429,8 @@ impl<'m> Morsel<'m> {
 /// Gathers `src[order[i]]` into `dst[i]` at the selected positions — a loop
 /// of independent loads.
 #[inline]
-fn gather<T: Copy>(src: &[T], order: &[u32], sel: &Mask, dst: &mut [T]) {
+fn gather<T: Copy + Default>(src: &[T], order: &[u32], sel: &Mask, dst: &mut Vec<T>) {
+    dst.resize(MORSEL, T::default());
     for_each_pos(sel, |i| dst[i] = src[order[i] as usize]);
 }
 
@@ -524,19 +532,34 @@ fn stage_cols(
 
 // -------------------------------------------------------------- kernels
 
-/// Writes `care & pred` into `out` one 64-row word at a time, skipping
-/// words `care` has already cleared.
+/// Care words with at most this many bits set are tested bit by bit
+/// instead of as a whole 64-row word.
+const SPARSE_WORD_BITS: u32 = 12;
+
+/// Writes `care & pred` into `out` one 64-row word at a time: words `care`
+/// has already cleared are skipped, and sparse ones (a later conjunct
+/// after a selective one) test only their set positions.
 #[inline(always)]
 fn fill_words<T: Copy>(vals: &[T], care: &Mask, out: &mut Mask, pred: impl Fn(T) -> bool) {
     *out = [0u64; WORDS];
     for ((o, &c), chunk) in out.iter_mut().zip(care).zip(vals.chunks(64)) {
-        if c != 0 {
-            let mut bits = 0u64;
+        if c == 0 {
+            continue;
+        }
+        let mut bits = 0u64;
+        if c.count_ones() <= SPARSE_WORD_BITS {
+            let mut rest = c;
+            while rest != 0 {
+                let j = rest.trailing_zeros();
+                bits |= u64::from(pred(chunk[j as usize])) << j;
+                rest &= rest - 1;
+            }
+        } else {
             for (j, &v) in chunk.iter().enumerate() {
                 bits |= u64::from(pred(v)) << j;
             }
-            *o = c & bits;
         }
+        *o = c & bits;
     }
 }
 

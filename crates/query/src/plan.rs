@@ -494,18 +494,32 @@ impl WidthSlots {
         }
     }
 
-    /// The slot of value `v`. The clamp is a no-op when stats are exact;
-    /// it only guards slot-array bounds. The floor is computed as
-    /// truncate-and-adjust — identical to `f64::floor` for every in-bounds
-    /// value but free of the libm call baseline x86-64 lowers `floor()`
-    /// to, which would otherwise dominate the kernel loop. The slot decodes
-    /// to the same bucket index the hashed path computes, bit for bit.
+    /// The slot of a non-NaN value `v`. The clamp is a no-op when stats
+    /// are exact; it only guards slot-array bounds. The whole computation
+    /// stays in float arithmetic, so the kernel loop needs neither the
+    /// libm call baseline x86-64 lowers `floor()` to nor a saturating
+    /// float-to-int conversion:
+    ///
+    /// - the quotient is first clamped into `[lo − 1, lo + len]`, which
+    ///   changes no clamped slot and keeps it below 2^51 in magnitude;
+    /// - adding and subtracting 1.5·2^52 rounds it to the nearest integer
+    ///   `t`, and `t − 1` when `t` overshot is its exact floor;
+    /// - an integer-valued `s` in `[0, 2^32)` is the low word of the bits
+    ///   of `s + 2^52`.
+    ///
+    /// The slot decodes to the same bucket index the hashed path's
+    /// `f64::floor` computes, bit for bit.
     #[inline(always)]
     pub(crate) fn slot_of(self, v: f64) -> u32 {
-        let q = (v - self.anchor) / self.width;
-        let t = q as i64 as f64; // trunc(q), exact in-bounds
+        const ROUND: f64 = (3u64 << 51) as f64;
+        const LOW_WORD: f64 = (1u64 << 52) as f64;
+        let q = ((v - self.anchor) / self.width)
+            .max(self.lo - 1.0)
+            .min(self.lo + self.top + 1.0);
+        let t = (q + ROUND) - ROUND;
         let fl = if t > q { t - 1.0 } else { t };
-        (fl - self.lo).clamp(0.0, self.top) as u32
+        let s = (fl - self.lo).max(0.0).min(self.top);
+        (s + LOW_WORD).to_bits() as u32
     }
 }
 
@@ -922,9 +936,11 @@ impl CompiledPlan {
         if !(0.0..DENSE_BIN_CAP as f64).contains(&span) {
             return None;
         }
-        // The slot kernel and bucket decode need `lo` to round-trip
-        // through i64 exactly; outside that range stay on the hashed path.
-        if lo < i64::MIN as f64 || hi >= i64::MAX as f64 {
+        // The bucket decode needs `lo` to round-trip through i64 exactly,
+        // and the slot kernel's float floor needs bucket indices below
+        // 2^50; outside that range stay on the hashed path.
+        const SLOT_RANGE: f64 = (1u64 << 50) as f64;
+        if lo.abs() >= SLOT_RANGE || hi.abs() >= SLOT_RANGE {
             return None;
         }
         Some(DenseWidth {
@@ -1540,6 +1556,46 @@ mod tests {
                 assert_eq!(
                     slot,
                     f.slot_of(v as f64),
+                    "width {width} anchor {anchor} v {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slot_of_is_the_clamped_floor() {
+        for (width, anchor, lo, len) in [
+            (1.0, 0.0, -5i64, 40usize),
+            (0.25, -3.7, -200, 8192),
+            (7.5, -100.0, 3, 2),
+            (1e-3, 1e6, -1_000_000, 17),
+            (3.0, 0.5, (1i64 << 49) - 10, 20),
+        ] {
+            let f = WidthSlots::new(DenseWidth { lo, len }, width, anchor);
+            let reference = |v: f64| -> u32 {
+                let b = ((v - anchor) / width).floor();
+                (b - lo as f64).clamp(0.0, (len - 1) as f64) as u32
+            };
+            let mut vals = vec![
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+            ];
+            for k in [-2, -1, 0, 1, len as i64 - 1, len as i64, len as i64 + 1] {
+                let edge = anchor + (lo + k) as f64 * width;
+                vals.extend([edge, edge + width * 0.5]);
+                vals.extend([
+                    f64::from_bits(edge.to_bits() + 1),
+                    f64::from_bits(edge.to_bits() - 1),
+                ]);
+            }
+            for v in vals {
+                assert_eq!(
+                    f.slot_of(v),
+                    reference(v),
                     "width {width} anchor {anchor} v {v}"
                 );
             }
