@@ -402,28 +402,49 @@ impl<'m> Morsel<'m> {
         self.rows.len()
     }
 
-    /// A column's values at the morsel's positions, with the validity mask
-    /// when positions can be null; `None` for per-row virtualized access.
+    /// A column as this morsel's kernels read it.
     #[inline]
-    fn flat(&self, col: ColView<'m>) -> Option<(Flat<'m>, Option<&'m Mask>)> {
+    fn src(&self, col: ColView<'m>) -> Src<'m> {
         match col {
             ColView::Direct(data) => match self.rows {
-                Rows::Natural { base, len } => Some((data.slice(base, len), None)),
+                Rows::Natural { base, len } => Src::Flat(data.slice(base, len), None),
                 Rows::Gather(_) => unreachable!("direct views scan in natural order only"),
             },
             ColView::Staged(s) => {
                 let (spec, buf) = (&self.specs[s], &self.bufs[s]);
                 let mask = spec.nullable().then_some(&buf.mask);
-                Some(match (spec, self.rows) {
+                match (spec, self.rows) {
                     (BoundStage::Own { col }, Rows::Natural { base, len }) => {
-                        (Flat::of(col.typed()).slice(base, len), mask)
+                        Src::Flat(Flat::of(col.typed()).slice(base, len), mask)
                     }
-                    _ => (buf.flat(self.len()), mask),
-                })
+                    _ => Src::Flat(buf.flat(self.len()), mask),
+                }
             }
-            ColView::Virtual(_) => None,
+            ColView::Virtual(c) => Src::Rows(c),
         }
     }
+
+    /// Numeric value of a column at morsel position `i` (`None` when
+    /// null) — the sparse store's row-at-a-time measure accessor.
+    #[inline(always)]
+    fn value(&self, src: Src<'m>, i: usize) -> Option<f64> {
+        match src {
+            Src::Flat(flat, mask) => {
+                (mask.is_none_or(|mk| mk[i / 64] >> (i % 64) & 1 == 1)).then(|| flat.num(i))
+            }
+            Src::Rows(c) => c.numeric(self.rows.row(i)),
+        }
+    }
+}
+
+/// A column as one morsel's kernels read it.
+#[derive(Clone, Copy)]
+enum Src<'m> {
+    /// Values at the morsel's positions, with the validity mask when
+    /// positions can be null.
+    Flat(Flat<'m>, Option<&'m Mask>),
+    /// Per-row virtualized access.
+    Rows(BoundColumn<'m>),
 }
 
 /// Gathers `src[order[i]]` into `dst[i]` at the selected positions — a loop
@@ -566,16 +587,10 @@ fn fill_words<T: Copy>(vals: &[T], care: &Mask, out: &mut Mask, pred: impl Fn(T)
 /// Writes `care & pred(row)` into `out` position by position — the
 /// per-row virtualized access.
 #[inline]
-fn fill_rows(
-    c: &BoundColumn<'_>,
-    rows: Rows<'_>,
-    care: &Mask,
-    out: &mut Mask,
-    pred: impl Fn(&BoundColumn<'_>, usize) -> bool,
-) {
+fn fill_rows(rows: Rows<'_>, care: &Mask, out: &mut Mask, pred: impl Fn(usize) -> bool) {
     *out = [0u64; WORDS];
     for_each_pos(care, |i| {
-        if pred(c, rows.row(i)) {
+        if pred(rows.row(i)) {
             out[i / 64] |= 1u64 << (i % 64);
         }
     });
@@ -586,8 +601,8 @@ fn fill_rows(
 /// semantics.
 pub(crate) fn eval_filter(f: &BoundFilter<'_>, m: &Morsel<'_>, care: &Mask, out: &mut Mask) {
     match f {
-        BoundFilter::Range { col, test } => match m.flat(*col) {
-            Some((flat, valid)) => {
+        BoundFilter::Range { col, test } => match m.src(*col) {
+            Src::Flat(flat, valid) => {
                 let care = valid.map_or(*care, |v| and(care, v));
                 match (flat, test.ints) {
                     (Flat::F64(d), _) => fill_words(d, &care, out, |v| test.f64(v)),
@@ -600,31 +615,21 @@ pub(crate) fn eval_filter(f: &BoundFilter<'_>, m: &Morsel<'_>, care: &Mask, out:
                     (Flat::I64(_) | Flat::Codes(_), None) => *out = [0u64; WORDS],
                 }
             }
-            None => {
-                let ColView::Virtual(c) = col else {
-                    unreachable!("only virtual views lack a flat form")
-                };
-                fill_rows(c, m.rows, care, out, |c, r| {
-                    c.numeric(r).is_some_and(|v| test.f64(v))
-                });
-            }
+            Src::Rows(c) => fill_rows(m.rows, care, out, |r| {
+                c.numeric(r).is_some_and(|v| test.f64(v))
+            }),
         },
         BoundFilter::In { col, member } => {
             let hit = |c: u32| member.get(c as usize).copied().unwrap_or(false);
-            match m.flat(*col) {
-                Some((Flat::Codes(d), valid)) => {
+            match m.src(*col) {
+                Src::Flat(Flat::Codes(d), valid) => {
                     let care = valid.map_or(*care, |v| and(care, v));
                     fill_words(d, &care, out, hit);
                 }
                 // Numeric columns have no dictionary codes: nothing
                 // matches, mirroring the per-row accessor returning `None`.
-                Some((Flat::F64(_) | Flat::I64(_), _)) => *out = [0u64; WORDS],
-                None => {
-                    let ColView::Virtual(c) = col else {
-                        unreachable!("only virtual views lack a flat form")
-                    };
-                    fill_rows(c, m.rows, care, out, |c, r| c.code(r).is_some_and(hit));
-                }
+                Src::Flat(Flat::F64(_) | Flat::I64(_), _) => *out = [0u64; WORDS],
+                Src::Rows(c) => fill_rows(m.rows, care, out, |r| c.code(r).is_some_and(hit)),
             }
         }
         BoundFilter::And(children) => {
@@ -681,8 +686,8 @@ fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: 
         dict_len: stride,
     }, BoundDim::Nominal { col: c1, .. }] = dims
     {
-        if let (Some((Flat::Codes(s0), m0)), Some((Flat::Codes(s1), m1))) =
-            (m.flat(*c0), m.flat(*c1))
+        if let (Src::Flat(Flat::Codes(s0), m0), Src::Flat(Flat::Codes(s1), m1)) =
+            (m.src(*c0), m.src(*c1))
         {
             let stride = (*stride).max(1);
             for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
@@ -714,10 +719,10 @@ fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: 
         }
         // The per-row virtualized arm; null rows leave `valid`.
         macro_rules! slot_rows {
-            ($c:expr, $get:expr) => {{
+            ($get:expr) => {{
                 let get = $get;
                 for i in 0..n {
-                    match get($c, m.rows.row(i)) {
+                    match get(m.rows.row(i)) {
                         Some(s) if di == 0 => slots[i] = s,
                         Some(s) => slots[i] += s * stride,
                         None => valid[i / 64] &= !(1u64 << (i % 64)),
@@ -732,24 +737,19 @@ fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: 
                 dense.expect("dense path requires bounded bucket space").1,
             ),
         };
-        let flat = m.flat(*col);
-        if let Some((_, Some(mask))) = flat {
+        let src = m.src(*col);
+        if let Src::Flat(_, Some(mask)) = src {
             *valid = and(valid, mask);
         }
-        match (dim, flat) {
-            (BoundDim::Nominal { .. }, Some((Flat::Codes(d), _))) => slot_span!(d, |c| c),
-            (BoundDim::Nominal { .. }, Some(_)) => {
+        match (dim, src) {
+            (BoundDim::Nominal { .. }, Src::Flat(Flat::Codes(d), _)) => slot_span!(d, |c| c),
+            (BoundDim::Nominal { .. }, Src::Flat(..)) => {
                 // Compilation rejects nominal binning over non-nominal
                 // columns, and stage slots preserve the type.
                 unreachable!("nominal binning compiled over a non-nominal column")
             }
-            (BoundDim::Nominal { col, .. }, None) => {
-                let ColView::Virtual(c) = col else {
-                    unreachable!("only virtual views lack a flat form")
-                };
-                slot_rows!(c, |c: &BoundColumn<'_>, r| c.code(r))
-            }
-            (BoundDim::Width { dense, table, .. }, Some((flat, _))) => {
+            (BoundDim::Nominal { .. }, Src::Rows(c)) => slot_rows!(|r| c.code(r)),
+            (BoundDim::Width { dense, table, .. }, Src::Flat(flat, _)) => {
                 let f = dense.expect("dense path requires bounded bucket space").0;
                 match (flat, table) {
                     (Flat::I64(d), Some((min, t))) => slot_span!(d, |v| table_slot(*min, t, v)),
@@ -761,14 +761,9 @@ fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: 
                     (Flat::Codes(d), None) => slot_span!(d, |c| f.slot_of(f64::from(c))),
                 }
             }
-            (BoundDim::Width { col, dense, .. }, None) => {
+            (BoundDim::Width { dense, .. }, Src::Rows(c)) => {
                 let f = dense.expect("dense path requires bounded bucket space").0;
-                let ColView::Virtual(c) = col else {
-                    unreachable!("only virtual views lack a flat form")
-                };
-                slot_rows!(c, |c: &BoundColumn<'_>, r| c
-                    .numeric(r)
-                    .map(|v| f.slot_of(v)))
+                slot_rows!(|r| c.numeric(r).map(|v| f.slot_of(v)))
             }
         }
         stride *= len.max(1);
@@ -790,13 +785,10 @@ fn sparse_keys(
         let out: &mut [i64] = if di == 0 { k0 } else { k1 };
         // The per-row virtualized arm; null rows leave `valid`.
         macro_rules! key_rows {
-            ($col:expr, $get:expr) => {{
-                let ColView::Virtual(c) = $col else {
-                    unreachable!("only virtual views lack a flat form")
-                };
+            ($get:expr) => {{
                 let get = $get;
                 for i in 0..n {
-                    match get(c, m.rows.row(i)) {
+                    match get(m.rows.row(i)) {
                         Some(k) => out[i] = k,
                         None => valid[i / 64] &= !(1u64 << (i % 64)),
                     }
@@ -806,59 +798,31 @@ fn sparse_keys(
         let col = match dim {
             BoundDim::Nominal { col, .. } | BoundDim::Width { col, .. } => col,
         };
-        let flat = m.flat(*col);
-        if let Some((_, Some(mask))) = flat {
+        let src = m.src(*col);
+        if let Src::Flat(_, Some(mask)) = src {
             *valid = and(valid, mask);
         }
-        match (dim, flat) {
-            (BoundDim::Nominal { .. }, Some((Flat::Codes(d), _))) => {
+        match (dim, src) {
+            (BoundDim::Nominal { .. }, Src::Flat(Flat::Codes(d), _)) => {
                 for (o, &c) in out.iter_mut().zip(d) {
                     *o = i64::from(c);
                 }
             }
-            (BoundDim::Nominal { .. }, Some(_)) => {
+            (BoundDim::Nominal { .. }, Src::Flat(..)) => {
                 unreachable!("nominal binning compiled over a non-nominal column")
             }
-            (BoundDim::Nominal { .. }, None) => {
-                key_rows!(col, |c: &BoundColumn<'_>, r| c.code(r).map(i64::from))
-            }
-            (BoundDim::Width { width, anchor, .. }, flat) => {
+            (BoundDim::Nominal { .. }, Src::Rows(c)) => key_rows!(|r| c.code(r).map(i64::from)),
+            (BoundDim::Width { width, anchor, .. }, src) => {
                 let key_of = |v: f64| ((v - anchor) / width).floor() as i64;
-                match flat {
-                    Some((flat, _)) => {
+                match src {
+                    Src::Flat(flat, _) => {
                         for (i, o) in out.iter_mut().enumerate().take(n) {
                             *o = key_of(flat.num(i));
                         }
                     }
-                    None => key_rows!(col, |c: &BoundColumn<'_>, r| c.numeric(r).map(key_of)),
+                    Src::Rows(c) => key_rows!(|r| c.numeric(r).map(key_of)),
                 }
             }
-        }
-    }
-}
-
-/// A measure column resolved for one morsel: its flat values and validity
-/// mask, or the per-row virtualized accessor.
-type MeasureSrc<'m> = Result<(Flat<'m>, Option<&'m Mask>), BoundColumn<'m>>;
-
-impl<'m> Morsel<'m> {
-    fn measure(&self, col: ColView<'m>) -> MeasureSrc<'m> {
-        match (self.flat(col), col) {
-            (Some(flat), _) => Ok(flat),
-            (None, ColView::Virtual(c)) => Err(c),
-            (None, _) => unreachable!("only virtual views lack a flat form"),
-        }
-    }
-
-    /// Numeric value of a resolved measure at morsel position `i` (`None`
-    /// when null) — the sparse store's row-at-a-time measure accessor.
-    #[inline(always)]
-    fn measure_value(&self, src: &MeasureSrc<'m>, i: usize) -> Option<f64> {
-        match src {
-            Ok((flat, mask)) => {
-                (mask.is_none_or(|mk| mk[i / 64] >> (i % 64) & 1 == 1)).then(|| flat.num(i))
-            }
-            Err(c) => c.numeric(self.rows.row(i)),
         }
     }
 }
@@ -1093,8 +1057,8 @@ impl BatchAcc {
                 }
                 for (mi, col) in bound.measures.iter().enumerate() {
                     let Some(col) = col else { continue };
-                    match m.measure(*col) {
-                        Ok((flat, mask)) => {
+                    match m.src(*col) {
+                        Src::Flat(flat, mask) => {
                             let live = mask.map_or(live, |mk| and(&live, mk));
                             match flat {
                                 Flat::F64(d) => measure_pass!(mi, live, |i: usize| d[i]),
@@ -1104,7 +1068,7 @@ impl BatchAcc {
                                 }
                             }
                         }
-                        Err(c) => for_each_pos(&live, |i| {
+                        Src::Rows(c) => for_each_pos(&live, |i| {
                             if let Some(v) = c.numeric(rows.row(i)) {
                                 measures[slots[i] as usize * nmeasures + mi].update(v);
                             }
@@ -1116,11 +1080,8 @@ impl BatchAcc {
                 sparse_keys(&bound.dims, &m, &mut self.k0, &mut self.k1, &mut valid);
                 let two_d = bound.dims.len() == 2;
                 let nmeasures = self.nmeasures;
-                let srcs: Vec<Option<MeasureSrc<'_>>> = bound
-                    .measures
-                    .iter()
-                    .map(|c| c.map(|c| m.measure(c)))
-                    .collect();
+                let srcs: Vec<Option<Src<'_>>> =
+                    bound.measures.iter().map(|c| c.map(|c| m.src(c))).collect();
                 // Consecutive rows often land in the same bin; memoize the
                 // last slot to skip the hash probe.
                 let mut last: Option<((i64, i64), u32)> = None;
@@ -1146,7 +1107,7 @@ impl BatchAcc {
                     let acc = &mut accs[slot as usize].1;
                     acc.count += 1;
                     for (mi, src) in srcs.iter().enumerate() {
-                        if let Some(v) = src.as_ref().and_then(|s| m.measure_value(s, i)) {
+                        if let Some(v) = src.and_then(|s| m.value(s, i)) {
                             acc.measures[mi].update(v);
                         }
                     }

@@ -125,16 +125,15 @@ pub(crate) enum Access {
 /// `table` holds the column payload; for star-schema dimension attributes,
 /// `fk` names the fact table's foreign-key column through which fact rows
 /// logically reach it (`column[fk[row]]` — the indirection *is* the join).
-/// `materialized` carries the fact-ordered copy when the shared join cache
-/// devirtualized that indirection, and `access` says how kernels read the
-/// column (see `Access`). The *cost model* always follows `fk`: a
-/// devirtualized join still bills as a join.
+/// `access` says how kernels read the column (see `Access`); a join the
+/// shared cache devirtualized reads its fact-ordered copy through a stage
+/// slot. The *cost model* always follows `fk`: a devirtualized join still
+/// bills as a join.
 #[derive(Debug, Clone)]
 pub struct PlannedColumn {
     table: Arc<Table>,
     col: usize,
     fk: Option<(Arc<Table>, usize)>,
-    materialized: Option<Arc<Column>>,
     access: Access,
 }
 
@@ -149,7 +148,6 @@ impl PlannedColumn {
             table,
             col,
             fk,
-            materialized: None,
             access: Access::Virtual,
         };
         match dataset {
@@ -781,18 +779,16 @@ impl CompiledPlan {
         dims: &mut [PlannedDim],
         measures: &mut [Option<PlannedColumn>],
     ) -> (Vec<StageSpec>, Vec<(Arc<Table>, usize)>) {
-        // Per physical column: its access plus any shared materialization.
-        type AccessMemo = FxHashMap<(usize, usize), (Access, Option<Arc<Column>>)>;
+        // The access of each physical column.
         let star = dataset.as_star();
         let mut stages: Vec<StageSpec> = Vec::new();
         let mut fk_cols: Vec<(Arc<Table>, usize)> = Vec::new();
-        let mut memo: AccessMemo = FxHashMap::default();
+        let mut memo: FxHashMap<(usize, usize), Access> = FxHashMap::default();
 
         let mut assign = |col: &mut PlannedColumn| {
             let key = (Arc::as_ptr(&col.table) as usize, col.col);
-            if let Some((access, materialized)) = memo.get(&key) {
+            if let Some(access) = memo.get(&key) {
                 col.access = *access;
-                col.materialized = materialized.clone();
                 return;
             }
             let mut push_stage = |spec: StageSpec| {
@@ -805,8 +801,8 @@ impl CompiledPlan {
                 (JoinPolicy::Devirtualized, Some(_), Some(s)) => s.materialize_join(col.name()),
                 _ => None,
             };
-            let access = if let Some(m) = &materialized {
-                push_stage(StageSpec::Own(ColRef::Owned(Arc::clone(m))))
+            let access = if let Some(m) = materialized {
+                push_stage(StageSpec::Own(ColRef::Owned(m)))
             } else if let Some((fact, fk_idx)) = &col.fk {
                 // Joined but not materialized (shared cache full, or no
                 // star): per-plan dimension-row caches, unless the policy
@@ -857,9 +853,8 @@ impl CompiledPlan {
                     col.col,
                 )))
             };
-            memo.insert(key, (access, materialized.clone()));
+            memo.insert(key, access);
             col.access = access;
-            col.materialized = materialized;
         };
 
         for dim in dims.iter_mut() {
@@ -1360,14 +1355,16 @@ mod tests {
     fn star_joins_devirtualize_through_the_shared_cache() {
         let ds = star();
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
-        let col = plan.dims[0].col();
-        assert!(matches!(col.access, Access::Staged { slot: 0 }));
-        let mat = col.materialized.as_ref().expect("materialized column");
+        let materialized = |plan: &CompiledPlan| match &plan.stages[0] {
+            StageSpec::Own(ColRef::Owned(m)) => Arc::clone(m),
+            other => panic!("materialized → its own flat slot, got {other:?}"),
+        };
+        assert!(matches!(
+            plan.dims[0].col().access,
+            Access::Staged { slot: 0 }
+        ));
+        let mat = materialized(&plan);
         assert_eq!(mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
-        assert!(
-            matches!(&plan.stages[0], StageSpec::Own(ColRef::Owned(m)) if Arc::ptr_eq(m, mat)),
-            "materialized → its own flat slot"
-        );
         assert!(plan.fk_cols.is_empty(), "no per-morsel FK staging");
         // The cost model still bills the logical join.
         assert_eq!(plan.joined_columns(), 1);
@@ -1378,10 +1375,7 @@ mod tests {
         let stats = ds.as_star().unwrap().join_cache_stats();
         assert_eq!(stats.entries, 1);
         assert!(stats.hits >= 1, "second compile hits the memo");
-        assert!(Arc::ptr_eq(
-            mat,
-            again.dims[0].col().materialized.as_ref().unwrap()
-        ));
+        assert!(Arc::ptr_eq(&mat, &materialized(&again)));
     }
 
     #[test]
@@ -1393,7 +1387,6 @@ mod tests {
             matches!(col.access, Access::Staged { slot: 0 }),
             "declined materialization stages through the FK"
         );
-        assert!(col.materialized.is_none());
         assert_eq!(plan.fk_cols.len(), 1, "one staged FK column");
         match &plan.stages[..] {
             // The joined dimension, then the fact measure's own slot.
