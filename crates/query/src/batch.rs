@@ -901,6 +901,7 @@ impl BatchAcc {
             .map(|a| (a.func, a.dimension.is_some()))
             .collect();
         let nmeasures = aggs.len();
+        let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
         let store = match plan.acc_mode() {
             AccMode::Dense(space) => Store::Dense {
                 dims: plan
@@ -943,9 +944,10 @@ impl BatchAcc {
             store,
             rows_seen: 0,
             rows_matched: 0,
-            slots: vec![0; MORSEL],
-            k0: vec![0; MORSEL],
-            k1: vec![0; MORSEL],
+            // Dense stores bin through `slots`, sparse ones through keys.
+            slots: vec![0; if dense { MORSEL } else { 0 }],
+            k0: vec![0; if dense { 0 } else { MORSEL }],
+            k1: vec![0; if dense { 0 } else { MORSEL }],
             stages: plan.stages.iter().map(StageBuf::for_spec).collect(),
             fk_stage: plan.fk_cols.iter().map(|_| vec![0; MORSEL]).collect(),
         }
