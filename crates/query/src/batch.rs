@@ -19,8 +19,9 @@
 //!    a flat slice, and only for words its caller still cares about: an
 //!    AND hands each conjunct its running mask, so words already zero are
 //!    skipped and the AND stops once the mask is empty; an OR hands each
-//!    child the words not yet full. Integer columns compare against the
-//!    range's exact integer bounds (`crate::plan::RangeTest`).
+//!    child the words not yet full. A care word with few bits set is
+//!    tested bit by bit. Integer columns compare against the range's
+//!    exact integer bounds (`crate::plan::RangeTest`).
 //! 3. **Late gathers.** A morsel the filter fully rejects stops here. The
 //!    remaining (binning and measure) slots are staged next, and every
 //!    gather in this phase reads only the filter-passing positions.

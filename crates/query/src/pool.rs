@@ -272,9 +272,10 @@ fn worker_loop(shared: &PoolShared) {
             // and re-raised by the caller.
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 // SAFETY: `running` was incremented under the task lock
-                // while the claim was not revoked, so the span's caller is
-                // still blocked in `ScopeGuard::drop` and the body it
-                // borrowed is alive until `running` drops back below.
+                // while the claim was not revoked, so the span's caller
+                // cannot leave `ScopeGuard::drop` — and the body it
+                // borrowed stays alive — until this worker decrements
+                // `running` again after the call.
                 (unsafe { &*task.body.0 })();
             }));
             let mut st = lock(&task.state);
