@@ -6,9 +6,11 @@
 //! per-row FK-indirection path ([`JoinPolicy::Indirect`]).
 //!
 //! Three cases target the morsel kernels' shortcuts: a shuffled-order
-//! width + AVG scan as the progressive engine runs it (late gathers), a
+//! width + AVG scan gathered through a visit order (late gathers), a
 //! selective three-conjunct AND (filter words that stop early), and an
-//! integer width binning (table-driven slots).
+//! integer width binning (table-driven slots). A fourth reads the same
+//! shuffled sequence from a physically pre-shuffled copy in natural
+//! order, as the progressive engine scans, against the gathered scan.
 //!
 //! Every rate is the median over [`REPS`] timed repetitions after one
 //! warm-up, reported with its interquartile range (`*_iqr`, as
@@ -17,7 +19,8 @@
 //!
 //! Doubles as the CI regression gate: the process exits non-zero if any
 //! vectorized case drops below 1× the scalar path (median over median),
-//! or any star-join case below 1× the FK-indirection path (set
+//! the pre-shuffled case below 1× the gathered one, or any star-join case
+//! below 1× the FK-indirection path (set
 //! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring).
 
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
@@ -227,16 +230,17 @@ fn shuffled_1d_width_avg() -> Query {
     Query::for_viz(&spec, None)
 }
 
-/// Scans `q` to completion over `order`, as the progressive engine steps
-/// a shuffled run (the exact snapshot of the finished run).
-fn scan_in_order(ds: &Dataset, q: &Query, order: &Arc<Vec<u32>>) -> idebench_core::AggResult {
-    let mut run = ChunkedRun::with_order(
-        ds.clone(),
-        q.clone(),
-        Some(Arc::clone(order)),
-        SnapshotMode::Exact,
-    )
-    .expect("shuffled bench query compiles");
+/// Scans `q` to completion over `order` (natural order when `None`), as
+/// the progressive engine steps a run (the exact snapshot of the finished
+/// run).
+fn scan_in_order(
+    ds: &Dataset,
+    q: &Query,
+    order: Option<&Arc<Vec<u32>>>,
+) -> idebench_core::AggResult {
+    let mut run =
+        ChunkedRun::with_order(ds.clone(), q.clone(), order.cloned(), SnapshotMode::Exact)
+            .expect("shuffled bench query compiles");
     while !run.is_done() {
         run.advance(u64::MAX);
     }
@@ -361,13 +365,14 @@ fn main() {
         ds.warm_numeric_stats();
         let plan = CompiledPlan::compile(&ds, &q).expect("bench query compiles");
         let dense = matches!(plan.acc_mode(), AccMode::Dense(_));
+        let gathered = scan_in_order(&ds, &q, Some(&order));
         assert_eq!(
-            scan_in_order(&ds, &q, &order),
+            gathered,
             execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap(),
             "shuffled vectorized and scalar paths must agree on {name}"
         );
         let vec_rps = time_rows_per_sec(ROWS, || {
-            let _ = scan_in_order(&ds, &q, &order);
+            let _ = scan_in_order(&ds, &q, Some(&order));
         });
         let scalar_rps = time_rows_per_sec(ROWS, || {
             let _ = execute_exact_scalar_with_order(&ds, &q, Some(&order)).unwrap();
@@ -379,6 +384,41 @@ fn main() {
             scalar_rps,
             &mut regressions,
         ));
+
+        // The same visit sequence read from a physically pre-shuffled copy
+        // in natural order, as the progressive engine now scans: asserted
+        // bit-identical to the gathered scan, gated at >= 1x of it.
+        let name = "preshuffled_1d_width_avg";
+        let copy = ds.permuted(&order);
+        assert_eq!(
+            scan_in_order(&copy, &q, None),
+            gathered,
+            "pre-shuffled and gathered scans must agree on {name}"
+        );
+        let copy_rps = time_rows_per_sec(ROWS, || {
+            let _ = scan_in_order(&copy, &q, None);
+        });
+        let vs_gather = copy_rps.median / vec_rps.median;
+        println!(
+            "{name:<32} vectorized {:>12.0} rows/s (iqr {:.0}-{:.0})   gathered {:>12.0} rows/s   speedup {vs_gather:.2}x",
+            copy_rps.median, copy_rps.q1, copy_rps.q3, vec_rps.median,
+        );
+        if vs_gather < 1.0 {
+            regressions.push(format!("{name}: {vs_gather:.2}x vs gathered"));
+        }
+        entries.push(serde_json::json!({
+            "case": name,
+            "rows": ROWS,
+            "dense": dense,
+            "vectorized_rows_per_sec": copy_rps.median,
+            "vectorized_iqr": copy_rps.iqr_json(),
+            "gathered_rows_per_sec": vec_rps.median,
+            "gathered_iqr": vec_rps.iqr_json(),
+            "scalar_rows_per_sec": scalar_rps.median,
+            "scalar_iqr": scalar_rps.iqr_json(),
+            "speedup": copy_rps.median / scalar_rps.median,
+            "speedup_vs_gathered": vs_gather,
+        }));
     }
 
     // Star-schema join cases: the devirtualized join layer (shared

@@ -131,8 +131,8 @@ impl BenchmarkConfig {
     /// Loads a configuration file.
     pub fn load(path: &Path) -> Result<Self, CoreError> {
         let text = std::fs::read_to_string(path)
-            .map_err(|e| CoreError::Storage(format!("{}: {e}", path.display())))?;
-        Self::from_json(&text).map_err(|e| CoreError::Storage(format!("{}: {e}", path.display())))
+            .map_err(|e| CoreError::Config(format!("{}: {e}", path.display())))?;
+        Self::from_json(&text).map_err(|e| CoreError::Config(format!("{}: {e}", path.display())))
     }
 
     /// Materializes the workload.
@@ -296,6 +296,17 @@ mod tests {
             panic!("unknown system must be rejected");
         };
         assert!(err.to_string().contains("warpdrive"));
+    }
+
+    #[test]
+    fn malformed_config_reports_a_config_error() {
+        let path =
+            std::env::temp_dir().join(format!("idebench-bad-cfg-{}.json", std::process::id()));
+        std::fs::write(&path, r#"{ "dataset": { "rows": "many" "#).unwrap();
+        let err = BenchmarkConfig::load(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert!(matches!(err, CoreError::Config(_)), "{err:?}");
+        assert!(err.to_string().starts_with("config error: "), "{err}");
     }
 
     #[test]

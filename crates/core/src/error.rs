@@ -20,6 +20,8 @@ pub enum CoreError {
     Unsupported(String),
     /// A storage-layer error bubbled up.
     Storage(String),
+    /// A benchmark configuration could not be read or parsed.
+    Config(String),
 }
 
 impl fmt::Display for CoreError {
@@ -32,6 +34,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::Unsupported(what) => write!(f, "unsupported by system under test: {what}"),
             CoreError::Storage(e) => write!(f, "storage error: {e}"),
+            CoreError::Config(e) => write!(f, "config error: {e}"),
         }
     }
 }

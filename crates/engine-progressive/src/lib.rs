@@ -6,6 +6,16 @@
 //!   order, so any scan prefix is a uniform random sample. A snapshot can be
 //!   polled at *any* time and returns scale-up estimates with confidence
 //!   intervals; estimates converge to exact when the scan completes.
+//! - **Physically pre-shuffled data**: like IDEA, the engine shuffles the
+//!   data once, up front. `prepare` takes the dataset's shuffled copy for
+//!   the settings' seed ([`Dataset::shuffled_copy`]): a permuted copy of
+//!   the fact table, built on first use and shared by every session with
+//!   that seed, which runs scan in natural order with the flat kernels.
+//!   The copy costs one fact table of memory per dataset and dies with
+//!   its last session. At most one copy lives per dataset, so a session
+//!   whose seed differs from the live copy's gathers the source through
+//!   its own shuffle instead; both paths visit the same rows in the same
+//!   sequence, so results are bit-identical either way.
 //! - **Result reuse** (paper ref 16): runs are cached by query fingerprint. A
 //!   re-issued query (common in IDE workloads: linked vizs refresh
 //!   repeatedly) resumes from its previous progress instead of starting
@@ -90,12 +100,22 @@ impl ProgressiveConfig {
 
 type SharedRun = Arc<Mutex<ChunkedRun>>;
 
+/// What the adapter's runs scan to visit the rows in shuffled order.
+enum ScanSource {
+    /// The dataset's shared, physically shuffled copy, scanned in natural
+    /// order.
+    Copy(Dataset),
+    /// The source dataset gathered through this session's own shuffle,
+    /// used while the shared copy is held for another seed.
+    Gather(Dataset, Arc<Vec<u32>>),
+}
+
 /// The progressive adapter ("progressive" in reports).
 pub struct ProgressiveAdapter {
     config: ProgressiveConfig,
     dataset: Option<Dataset>,
     prep: PrepStats,
-    shuffle: Option<Arc<Vec<u32>>>,
+    scan: Option<ScanSource>,
     z: f64,
     /// Fingerprint → shared run (reuse + speculation store).
     cache: FxHashMap<u64, SharedRun>,
@@ -116,7 +136,7 @@ impl ProgressiveAdapter {
             config,
             dataset: None,
             prep: PrepStats::default(),
-            shuffle: None,
+            scan: None,
             z: 1.96,
             cache: FxHashMap::default(),
             owners: FxHashMap::default(),
@@ -162,6 +182,13 @@ impl ProgressiveAdapter {
         self.cache.len()
     }
 
+    /// Whether runs scan the dataset's shared shuffled copy (`false`
+    /// before `prepare`, or when gathering because the copy is held for
+    /// another seed), for tests and diagnostics.
+    pub fn scans_shared_copy(&self) -> bool {
+        matches!(self.scan, Some(ScanSource::Copy(_)))
+    }
+
     /// Number of speculative runs awaiting think-time work.
     pub fn pending_speculative(&self) -> usize {
         self.speculative.len()
@@ -174,18 +201,21 @@ impl ProgressiveAdapter {
                 return Ok(Arc::clone(run));
             }
         }
-        let dataset = self
-            .dataset
+        let (data, order) = match self
+            .scan
             .as_ref()
             .expect("prepare() must run before submit()")
-            .clone();
+        {
+            ScanSource::Copy(copy) => (copy, None),
+            ScanSource::Gather(source, order) => (source, Some(Arc::clone(order))),
+        };
         // One compilation serves both the cost model and the entire scan.
-        let plan = CompiledPlan::compile(&dataset, query)?;
+        let plan = CompiledPlan::compile(data, query)?;
         let cost = self.config.row_cost(&plan);
         let population = plan.num_rows() as u64;
         let mut run = ChunkedRun::from_plan(
             plan,
-            self.shuffle.clone(),
+            order,
             SnapshotMode::Estimate {
                 z: self.z,
                 population,
@@ -218,12 +248,21 @@ impl SystemAdapter for ProgressiveAdapter {
         }
         let rows = dataset.fact_rows();
         // Column min/max stats power the planner's dense bucketed binning;
-        // warming them here keeps the O(rows) scan out of submit().
+        // warming them here keeps the O(rows) scan out of submit(), and the
+        // shuffled copy inherits them.
         dataset.warm_numeric_stats();
-        let mut order: Vec<u32> = (0..rows as u32).collect();
-        let mut rng = StdRng::seed_from_u64(settings.seed ^ 0x9e37_79b9);
-        order.shuffle(&mut rng);
-        self.shuffle = Some(Arc::new(order));
+        let shuffle = || {
+            let mut order: Vec<u32> = (0..rows as u32).collect();
+            order.shuffle(&mut StdRng::seed_from_u64(settings.seed ^ 0x9e37_79b9));
+            order
+        };
+        // Every session with this seed shares one copy; a session whose
+        // seed differs from the live copy's visits the same sequence by
+        // gathering the source through its own shuffle.
+        self.scan = Some(match dataset.shuffled_copy(settings.seed, shuffle) {
+            Some(copy) => ScanSource::Copy(copy),
+            None => ScanSource::Gather(dataset.clone(), Arc::new(shuffle())),
+        });
         self.z = settings.z_value();
         self.warmup_units = settings.seconds_to_units(self.config.first_query_warmup_s);
         self.prep = PrepStats {
@@ -619,13 +658,60 @@ mod tests {
         while !h.step(1_000_000).is_done() {}
         let snap = h.snapshot().unwrap();
         assert!(snap.exact, "completed full-population scan is exact");
+        // The shuffled copy joins through per-plan caches: the source's
+        // shared join cache is never touched.
+        let stats = star.as_star().unwrap().join_cache_stats();
+        assert_eq!((stats.entries, stats.hits + stats.misses), (0, 0));
         assert_eq!(
             snap,
             idebench_query::execute_exact(&star, &count_query("v")).unwrap()
         );
-        // The join was devirtualized through the schema's shared cache.
-        let stats = star.as_star().unwrap().join_cache_stats();
-        assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn sessions_with_one_seed_share_one_shuffled_copy() {
+        use idebench_core::EngineService;
+        let ds = dataset(20_000);
+        let services = [
+            ProgressiveAdapter::service(warmless()),
+            ProgressiveAdapter::service(warmless()),
+        ];
+        for svc in &services {
+            for session in 0..2 {
+                svc.open_session(session, &ds, &settings()).unwrap();
+            }
+        }
+        assert_eq!(ds.live_derived(), 1, "four sessions, one copy");
+        drop(services);
+        assert_eq!(ds.live_derived(), 0, "the copy dies with its last user");
+    }
+
+    #[test]
+    fn another_seed_gathers_with_identical_results() {
+        let ds = dataset(20_000);
+        let q = avg_query();
+        let other = settings().with_seed(settings().seed + 1);
+        let mut owner = ProgressiveAdapter::new(warmless());
+        owner.prepare(&ds, &settings()).unwrap();
+        let mut gathering = ProgressiveAdapter::new(warmless());
+        gathering.prepare(&ds, &other).unwrap();
+        assert!(owner.scans_shared_copy());
+        assert!(!gathering.scans_shared_copy());
+        assert_eq!(ds.live_derived(), 1, "no copy for the second seed");
+        let mut h = gathering.submit(&q);
+        h.step(7_000);
+        let gathered = h.snapshot().unwrap();
+        assert!(gathered.processed_fraction < 1.0);
+
+        // Once the first seed's copy is gone, the second seed gets one and
+        // scans it to the same snapshot.
+        drop(owner);
+        let mut copying = ProgressiveAdapter::new(warmless());
+        copying.prepare(&ds, &other).unwrap();
+        assert!(copying.scans_shared_copy());
+        let mut h = copying.submit(&q);
+        h.step(7_000);
+        assert_eq!(h.snapshot().unwrap(), gathered);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   significant) data-preparation time.
 //! - Stratification guarantees rare strata are represented, keeping missing
 //!   bins low even at small sampling rates.
+//! - The sample is memoized on the dataset ([`Dataset::memoized`]): every
+//!   adapter with equal strata, rate and seed shares one sample, which
+//!   dies with the last of them.
 //! - The paper's System X "only works on de-normalized data"; this
 //!   reproduction goes further — star schemas sample *fact rows* (strata
 //!   attributes read fact-ordered through the schema's shared join cache)
@@ -336,11 +339,16 @@ impl SystemAdapter for StratifiedAdapter {
                 return Ok(self.prep);
             }
         }
-        let sample = build_stratified_sample_dataset(
-            dataset,
+        // Adapters with equal strata, rate and seed share one sample
+        // through the dataset's memo.
+        let (strata, rate, seed) = (
             &self.config.strata_columns,
             self.config.sampling_rate,
             settings.seed,
+        );
+        let sample = dataset.memoized(
+            format!("stratified sample: strata {strata:?}, rate {rate:e}, seed {seed}"),
+            |d| build_stratified_sample_dataset(d, strata, rate, seed),
         );
         let rows = dataset.fact_rows() as f64;
         let sample_rows = sample.fact_rows() as f64;
@@ -716,5 +724,35 @@ mod tests {
         assert!(t.drive().is_done());
         let snap = t.snapshot().unwrap();
         assert!(!snap.exact, "sample scan yields estimates");
+    }
+
+    #[test]
+    fn services_share_a_sample_only_when_strata_rate_and_seed_match() {
+        use idebench_core::EngineService;
+        let ds = dataset(10_000);
+        let base = StratifiedConfig::default();
+        let seeded = |seed| Settings::default().with_seed(seed);
+        let mut services = Vec::new();
+        let mut open = |config: StratifiedConfig, settings: Settings| {
+            let svc = StratifiedAdapter::new(config).into_service();
+            svc.open_session(0, &ds, &settings).unwrap();
+            services.push(svc);
+            ds.live_derived()
+        };
+        assert_eq!(open(base.clone(), seeded(1)), 1);
+        assert_eq!(open(base.clone(), seeded(1)), 1, "all three match");
+        let other_rate = StratifiedConfig {
+            sampling_rate: 0.2,
+            ..base.clone()
+        };
+        assert_eq!(open(other_rate, seeded(1)), 2);
+        let other_strata = StratifiedConfig {
+            strata_columns: vec!["carrier".into()],
+            ..base.clone()
+        };
+        assert_eq!(open(other_strata, seeded(1)), 3);
+        assert_eq!(open(base, seeded(2)), 4);
+        drop(services);
+        assert_eq!(ds.live_derived(), 0, "samples die with their adapters");
     }
 }

@@ -2,7 +2,11 @@
 //!
 //! Execution processes fixed-size morsels (`MORSEL` rows), either a
 //! contiguous natural-order range or a slice of a shuffled visit order.
-//! Every kernel reads a column as a `Flat` slice indexed by morsel
+//! Progressive engines scan a physically pre-shuffled copy of the fact
+//! table in natural order (`idebench_storage::Dataset::shuffled_copy`),
+//! so the gathered path (`Rows::Gather`) serves only wander's online
+//! queries and progressive sessions whose seed differs from the live
+//! copy's. Every kernel reads a column as a `Flat` slice indexed by morsel
 //! position plus an optional validity mask; only the legacy per-row
 //! `Virtual` access (under `JoinPolicy::Indirect`) reads row by row. Per
 //! morsel:

@@ -216,21 +216,42 @@ impl Column {
 
     /// Materializes the subset of rows in `rows`, preserving order.
     pub fn take(&self, rows: &[usize]) -> Column {
+        self.gather(rows.len(), |i| rows[i], std::sync::OnceLock::new())
+    }
+
+    /// A physically permuted copy: row `i` of the copy is row `order[i]`.
+    ///
+    /// Unlike [`Column::take`], the copy carries the source's min/max
+    /// statistics (computed on the source first if need be): they are
+    /// order-independent, so the copy never rescans for them.
+    pub fn permuted(&self, order: &[u32]) -> Column {
+        let stats = std::sync::OnceLock::from(self.numeric_min_max());
+        self.gather(order.len(), |i| order[i] as usize, stats)
+    }
+
+    /// The `n`-row column whose row `i` is row `row(i)` of this one.
+    fn gather(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> usize,
+        stats: std::sync::OnceLock<Option<(f64, f64)>>,
+    ) -> Column {
+        fn pick<T: Copy>(v: &[T], n: usize, row: &impl Fn(usize) -> usize) -> Vec<T> {
+            (0..n).map(|i| v[row(i)]).collect()
+        }
         let data = match &self.data {
-            ColumnData::Float(v) => ColumnData::Float(rows.iter().map(|&i| v[i]).collect()),
-            ColumnData::Int(v) => ColumnData::Int(rows.iter().map(|&i| v[i]).collect()),
-            ColumnData::Nominal(v, d) => {
-                ColumnData::Nominal(rows.iter().map(|&i| v[i]).collect(), Arc::clone(d))
-            }
+            ColumnData::Float(v) => ColumnData::Float(pick(v, n, &row)),
+            ColumnData::Int(v) => ColumnData::Int(pick(v, n, &row)),
+            ColumnData::Nominal(v, d) => ColumnData::Nominal(pick(v, n, &row), Arc::clone(d)),
         };
         let validity = self
             .validity
             .as_ref()
-            .map(|val| SelVec::from_bools(rows.len(), rows.iter().map(|&i| val.contains(i))));
+            .map(|val| SelVec::from_bools(n, (0..n).map(|i| val.contains(row(i)))));
         Column {
             data,
             validity,
-            stats: std::sync::OnceLock::new(),
+            stats,
         }
     }
 

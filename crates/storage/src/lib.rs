@@ -14,9 +14,13 @@
 //!   codes, which makes group-by and filtering on categories cheap.
 //! - Nulls are tracked with an optional validity bitmap; fully-valid columns
 //!   carry no bitmap at all.
+//! - A [`Dataset`] memoizes the datasets derived from it (a physically
+//!   shuffled copy, samples) and holds them weakly: their users keep them
+//!   alive (see [`Dataset::shuffled_copy`]).
 
 pub mod column;
 pub mod csv;
+mod derived;
 pub mod dictionary;
 pub mod error;
 pub mod schema;

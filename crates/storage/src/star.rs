@@ -7,6 +7,7 @@
 //! (like the paper's IDEA and System X) reject the `Star` variant.
 
 use crate::column::Column;
+use crate::derived::{DerivedKey, DerivedMemo};
 use crate::error::StorageError;
 use crate::table::Table;
 use rustc_hash::FxHashMap;
@@ -84,12 +85,27 @@ struct JoinCacheInner {
     declined: AtomicU64,
 }
 
+impl JoinCacheInner {
+    fn with_capacity(capacity: usize) -> Arc<Self> {
+        Arc::new(JoinCacheInner {
+            capacity,
+            columns: Mutex::new((FxHashMap::default(), 0)),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            declined: AtomicU64::new(0),
+        })
+    }
+}
+
 /// A normalized dataset: one fact table and its dimensions.
 #[derive(Debug, Clone)]
 pub struct StarSchema {
     fact: Arc<Table>,
     dimensions: Vec<(DimensionSpec, Arc<Table>)>,
     join_cache: Arc<JoinCacheInner>,
+    /// Datasets derived from this schema (see
+    /// [`Dataset::shuffled_copy`]).
+    derived: DerivedMemo,
 }
 
 impl StarSchema {
@@ -131,13 +147,8 @@ impl StarSchema {
         Ok(StarSchema {
             fact,
             dimensions,
-            join_cache: Arc::new(JoinCacheInner {
-                capacity,
-                columns: Mutex::new((FxHashMap::default(), 0)),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                declined: AtomicU64::new(0),
-            }),
+            join_cache: JoinCacheInner::with_capacity(capacity),
+            derived: DerivedMemo::default(),
         })
     }
 
@@ -329,6 +340,63 @@ impl Dataset {
         }
     }
 
+    /// A physically permuted copy: row `i` of the copy's fact table is row
+    /// `order[i]` of this one (see [`Table::permuted`]).
+    ///
+    /// A star copy shares this schema's dimension tables. Its join cache
+    /// has capacity 0, so its joins go through per-plan caches rather
+    /// than a second fact-length materialization of every joined column.
+    pub fn permuted(&self, order: &[u32]) -> Dataset {
+        assert_eq!(order.len(), self.fact_rows(), "order must cover every row");
+        match self {
+            Dataset::Denormalized(t) => Dataset::Denormalized(Arc::new(t.permuted(order))),
+            // Permuting fact rows keeps every foreign key in range, so the
+            // copy skips the key validation of `with_join_cache_capacity`.
+            Dataset::Star(s) => Dataset::Star(Arc::new(StarSchema {
+                fact: Arc::new(s.fact.permuted(order)),
+                dimensions: s.dimensions.clone(),
+                join_cache: JoinCacheInner::with_capacity(0),
+                derived: DerivedMemo::default(),
+            })),
+        }
+    }
+
+    /// This dataset's shuffled copy for `seed`: the live one if another
+    /// user holds it, otherwise [`Dataset::permuted`] over `order()`.
+    ///
+    /// At most one shuffled copy lives per dataset, costing one fact
+    /// table of memory. While the copy for one seed is alive, a request
+    /// for another seed returns `None` and builds nothing; the caller then
+    /// visits this dataset through its own order instead. The memo holds
+    /// the copy weakly, so it dies with its last user.
+    pub fn shuffled_copy(&self, seed: u64, order: impl FnOnce() -> Vec<u32>) -> Option<Dataset> {
+        self.memo()
+            .get_or_build(DerivedKey::Shuffled(seed), || self.permuted(&order()))
+    }
+
+    /// The live dataset derived from this one under `key`, or `build`'s
+    /// result, memoized weakly under `key` (see
+    /// [`Dataset::shuffled_copy`]). `key` must name the derivation and
+    /// every parameter its result depends on; equal keys share one result.
+    pub fn memoized(&self, key: String, build: impl FnOnce(&Dataset) -> Dataset) -> Dataset {
+        self.memo()
+            .get_or_build(DerivedKey::Named(key), || build(self))
+            .expect("only shuffled copies are ever refused")
+    }
+
+    /// Number of datasets derived from this one (shuffled copies and
+    /// memoized derivations) that are still alive.
+    pub fn live_derived(&self) -> usize {
+        self.memo().live()
+    }
+
+    fn memo(&self) -> &DerivedMemo {
+        match self {
+            Dataset::Denormalized(t) => t.derived(),
+            Dataset::Star(s) => &s.derived,
+        }
+    }
+
     /// The de-normalized table, if this dataset is de-normalized.
     pub fn as_denormalized(&self) -> Option<&Arc<Table>> {
         match self {
@@ -476,5 +544,107 @@ mod tests {
         assert_eq!(star.fact_rows(), 3);
         assert!(star.as_star().is_some());
         assert!(star.byte_size() > 0);
+    }
+
+    /// A fact table with every column type, each nullable, plus the
+    /// carrier foreign key.
+    fn nullable_fact() -> Arc<Table> {
+        let mut b = TableBuilder::with_fields(
+            "flights",
+            &[
+                ("dep_delay", DataType::Float),
+                ("month", DataType::Int),
+                ("origin", DataType::Nominal),
+                ("carrier_key", DataType::Int),
+            ],
+        );
+        for i in 0..150i64 {
+            let null_or = |v: Value, stride: i64| if i % stride == 0 { Value::Null } else { v };
+            b.push_row(&[
+                null_or(Value::Float(i as f64 * 0.5 - 20.0), 7),
+                null_or(Value::Int(i % 12), 5),
+                null_or(Value::Str(format!("A{}", i % 9)), 11),
+                Value::Int(i % 2),
+            ])
+            .unwrap();
+        }
+        Arc::new(b.finish())
+    }
+
+    fn reversed_odds_first(n: u32) -> Vec<u32> {
+        (0..n)
+            .rev()
+            .filter(|r| r % 2 == 1)
+            .chain((0..n).filter(|r| r % 2 == 0))
+            .collect()
+    }
+
+    #[test]
+    fn permuted_copy_moves_every_column_and_shares_the_rest() {
+        let fact = nullable_fact();
+        let star = Dataset::Star(Arc::new(
+            StarSchema::new(Arc::clone(&fact), vec![(spec(), carriers())]).unwrap(),
+        ));
+        let order = reversed_odds_first(fact.num_rows() as u32);
+        for source in [Dataset::Denormalized(Arc::clone(&fact)), star] {
+            let copy = source.permuted(&order);
+            let (src_fact, copy_fact) = match (&source, &copy) {
+                (Dataset::Denormalized(s), Dataset::Denormalized(c)) => (s, c),
+                (Dataset::Star(s), Dataset::Star(c)) => {
+                    // Dimensions are shared; the copy's join cache is off.
+                    for ((_, a), (_, b)) in s.dimensions().iter().zip(c.dimensions()) {
+                        assert!(Arc::ptr_eq(a, b));
+                    }
+                    assert_eq!(c.join_cache_stats().capacity, 0);
+                    (s.fact(), c.fact())
+                }
+                _ => panic!("the copy keeps the dataset's form"),
+            };
+            assert_eq!(copy_fact.num_rows(), src_fact.num_rows());
+            for col in 0..src_fact.num_columns() {
+                for (i, &r) in order.iter().enumerate() {
+                    assert_eq!(
+                        copy_fact.value_at(col, i),
+                        src_fact.value_at(col, r as usize)
+                    );
+                }
+                let (a, b) = (src_fact.column_at(col), copy_fact.column_at(col));
+                assert_eq!(a.numeric_min_max(), b.numeric_min_max());
+                if let (Some((_, da)), Some((_, db))) = (a.as_nominal(), b.as_nominal()) {
+                    assert!(Arc::ptr_eq(da, db), "dictionaries are shared");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shuffled_copies_are_shared_per_seed_and_held_weakly() {
+        let ds = Dataset::Denormalized(nullable_fact());
+        let n = ds.fact_rows() as u32;
+        let order = || reversed_odds_first(n);
+        let a = ds.shuffled_copy(1, order).unwrap();
+        let b = ds
+            .shuffled_copy(1, || unreachable!("the live copy is reused"))
+            .unwrap();
+        assert!(a.ptr_eq(&b));
+        assert_eq!(ds.live_derived(), 1);
+        // A second seed gets no copy while seed 1's lives.
+        assert!(ds.shuffled_copy(2, order).is_none());
+        drop((a, b));
+        assert_eq!(ds.live_derived(), 0, "the memo holds copies weakly");
+        let c = ds.shuffled_copy(2, order).unwrap();
+        assert_eq!(ds.live_derived(), 1);
+        drop(c);
+
+        // Named derivations share per key and coexist with a copy.
+        let copy = ds.shuffled_copy(3, order).unwrap();
+        let sample = |d: &Dataset| d.permuted(&(0..n).collect::<Vec<_>>());
+        let x = ds.memoized("x".into(), sample);
+        let y = ds.memoized("x".into(), |_| unreachable!("the live entry is reused"));
+        let z = ds.memoized("z".into(), sample);
+        assert!(x.ptr_eq(&y) && !x.ptr_eq(&z));
+        assert_eq!(ds.live_derived(), 3);
+        drop((copy, x, y, z));
+        assert_eq!(ds.live_derived(), 0);
     }
 }

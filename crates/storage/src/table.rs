@@ -1,6 +1,7 @@
 //! Immutable tables and the builder used to construct them.
 
 use crate::column::{Column, ColumnData};
+use crate::derived::DerivedMemo;
 use crate::dictionary::Dictionary;
 use crate::error::StorageError;
 use crate::schema::{DataType, Schema};
@@ -50,12 +51,25 @@ impl From<&str> for Value {
 }
 
 /// An immutable, named collection of equal-length columns.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
     columns: Vec<Column>,
     nrows: usize,
+    /// Datasets derived from a de-normalized dataset over this table (see
+    /// [`crate::Dataset::shuffled_copy`]).
+    derived: DerivedMemo,
+}
+
+impl PartialEq for Table {
+    fn eq(&self, other: &Self) -> bool {
+        // The derived-dataset memo is cache state, not part of the table.
+        self.name == other.name
+            && self.schema == other.schema
+            && self.columns == other.columns
+            && self.nrows == other.nrows
+    }
 }
 
 impl Table {
@@ -80,6 +94,7 @@ impl Table {
             schema,
             columns,
             nrows,
+            derived: DerivedMemo::default(),
         })
     }
 
@@ -143,18 +158,36 @@ impl Table {
     /// Materializes the given rows (in order) into a new table.
     pub fn take(&self, rows: &[usize]) -> Table {
         let columns = self.columns.iter().map(|c| c.take(rows)).collect();
+        self.with_columns(columns, rows.len())
+    }
+
+    /// A physically permuted copy, built column by column: row `i` of the
+    /// copy is row `order[i]` of this table. Dictionaries are shared and
+    /// column statistics copied (see [`Column::permuted`]).
+    pub fn permuted(&self, order: &[u32]) -> Table {
+        let columns = self.columns.iter().map(|c| c.permuted(order)).collect();
+        self.with_columns(columns, order.len())
+    }
+
+    fn with_columns(&self, columns: Vec<Column>, nrows: usize) -> Table {
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
             columns,
-            nrows: rows.len(),
+            nrows,
+            derived: DerivedMemo::default(),
         }
     }
 
     /// Renames the table (used when deriving samples / normalized tables).
     pub fn renamed(mut self, name: impl Into<String>) -> Table {
         self.name = name.into();
+        self.derived = DerivedMemo::default();
         self
+    }
+
+    pub(crate) fn derived(&self) -> &DerivedMemo {
+        &self.derived
     }
 
     /// Estimated in-memory footprint in bytes (column payloads only).

@@ -508,7 +508,7 @@ fn nullable_flights(rows: usize, seed: u64) -> idebench::storage::Table {
                 "origin_state" => 17,
                 _ => return col.clone(),
             };
-            let valid = (0..rows).map(|r| (r as u64 + seed) % stride != 0);
+            let valid = (0..rows).map(|r| !(r as u64 + seed).is_multiple_of(stride));
             col.clone().with_validity(SelVec::from_bools(rows, valid))
         })
         .collect();
@@ -540,10 +540,10 @@ proptest! {
     /// A run over a physically permuted copy, in natural order, reports
     /// bit-identical snapshots and billed units after every `advance` to a
     /// run over the source visiting `Some(order)` — the equivalence that
-    /// lets progressive engines scan a pre-shuffled copy. Covers flat and
-    /// star datasets with nullable columns, filtered 1D and 2D queries,
-    /// `Exact` and `Estimate` snapshots, random budget slices and
-    /// workers ∈ {1, 2, 8}.
+    /// lets progressive engines scan a pre-shuffled copy. The hand-built
+    /// copy equals [`Dataset::permuted`]'s. Covers flat and star datasets
+    /// with nullable columns, filtered 1D and 2D queries, `Exact` and
+    /// `Estimate` snapshots, random budget slices and workers ∈ {1, 2, 8}.
     #[test]
     fn permuted_copy_matches_ordered_gather(
         seed in 0u64..25,
@@ -604,6 +604,18 @@ proptest! {
 
         for ds in [&denorm, &star] {
             let copy = permute_by_hand(ds, &order);
+            // The library's copy is the hand-built one.
+            match (&copy, &ds.permuted(&order)) {
+                (Dataset::Denormalized(a), Dataset::Denormalized(b)) => prop_assert_eq!(a, b),
+                (Dataset::Star(a), Dataset::Star(b)) => {
+                    prop_assert_eq!(a.fact(), b.fact());
+                    prop_assert_eq!(a.join_cache_stats(), b.join_cache_stats());
+                    for ((_, x), (_, y)) in a.dimensions().iter().zip(b.dimensions()) {
+                        prop_assert!(Arc::ptr_eq(x, y), "dimensions are shared");
+                    }
+                }
+                _ => return Err(TestCaseError::fail("the copy keeps the dataset's form")),
+            }
             let mut gathered = start(ds, Some(Arc::clone(&order)))?;
             let mut scanned = start(&copy, None)?;
             for (step, &budget) in budgets.iter().cycle().enumerate() {
