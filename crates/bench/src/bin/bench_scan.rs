@@ -20,8 +20,8 @@
 //! Doubles as the CI regression gate: the process exits non-zero if any
 //! vectorized case drops below 1× the scalar path (median over median),
 //! the pre-shuffled case below 1× the gathered one, or any star-join case
-//! below 1× the FK-indirection path (set
-//! `IDEBENCH_BENCH_NO_GATE=1` to disable when exploring).
+//! below 1× the FK-indirection path (set `IDEBENCH_BENCH_NO_GATE=1` to
+//! disable when exploring).
 
 use idebench_core::spec::{AggFunc, AggregateSpec, BinDef};
 use idebench_core::{FilterExpr, Predicate, Query, VizSpec};
@@ -386,7 +386,7 @@ fn main() {
         ));
 
         // The same visit sequence read from a physically pre-shuffled copy
-        // in natural order, as the progressive engine now scans: asserted
+        // in natural order, as the progressive engine scans: asserted
         // bit-identical to the gathered scan, gated at >= 1x of it.
         let name = "preshuffled_1d_width_avg";
         let copy = ds.permuted(&order);

@@ -100,7 +100,6 @@ impl DerivedMemo {
             return None;
         }
         let built = build();
-        entries.retain(|(k, _)| *k != key);
         entries.push((key, WeakDataset::of(&built)));
         Some(built)
     }

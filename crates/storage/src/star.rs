@@ -363,6 +363,8 @@ impl Dataset {
 
     /// This dataset's shuffled copy for `seed`: the live one if another
     /// user holds it, otherwise [`Dataset::permuted`] over `order()`.
+    /// Callers with equal seeds share the copy, so `order` must be the
+    /// same function of `seed` for every caller.
     ///
     /// At most one shuffled copy lives per dataset, costing one fact
     /// table of memory. While the copy for one seed is alive, a request
