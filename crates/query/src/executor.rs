@@ -956,6 +956,142 @@ mod tests {
         }
     }
 
+    /// The filter shapes the scalar oracle's per-row `matches` treats
+    /// specially (nulls, an unknown category, `And([])` inside an `Or`,
+    /// `Or([])`) over 2,500 rows, across morsel boundaries. They run on a
+    /// flat table and on its star twin, whose filtered and binned `x` is a
+    /// nullable dimension attribute, both materialized and staged through
+    /// the foreign key. Every run must equal the scalar oracle bit for bit.
+    #[test]
+    fn filter_edge_cases_agree_with_scalar_on_flat_and_star() {
+        use idebench_storage::{DimensionSpec, StarSchema, Value};
+        const ROWS: usize = 2_500;
+        const DIM_ROWS: usize = 113;
+        let key = |i: usize| (i * 37) % DIM_ROWS;
+        let carrier = |d: usize| ["AA", "DL", "UA"][d % 3];
+        let x = |d: usize| {
+            if d % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Float(d as f64 - 40.0)
+            }
+        };
+        let y = |i: usize| (i % 11) as f64 * 0.5;
+
+        let mut flat = TableBuilder::with_fields(
+            "t",
+            &[
+                ("carrier", DataType::Nominal),
+                ("x", DataType::Float),
+                ("y", DataType::Float),
+            ],
+        );
+        let mut fact =
+            TableBuilder::with_fields("t", &[("y", DataType::Float), ("k", DataType::Int)]);
+        for i in 0..ROWS {
+            let d = key(i);
+            flat.push_row(&[carrier(d).into(), x(d), y(i).into()])
+                .unwrap();
+            fact.push_row(&[y(i).into(), (d as i64).into()]).unwrap();
+        }
+        let mut dim = TableBuilder::with_fields(
+            "dims",
+            &[("carrier", DataType::Nominal), ("x", DataType::Float)],
+        );
+        for d in 0..DIM_ROWS {
+            dim.push_row(&[carrier(d).into(), x(d)]).unwrap();
+        }
+        let (fact, dim) = (Arc::new(fact.finish()), Arc::new(dim.finish()));
+        let star = |capacity: usize| {
+            Dataset::Star(Arc::new(
+                StarSchema::with_join_cache_capacity(
+                    Arc::clone(&fact),
+                    vec![(
+                        DimensionSpec::new("dims", "k", vec!["carrier".into(), "x".into()]),
+                        Arc::clone(&dim),
+                    )],
+                    capacity,
+                )
+                .unwrap(),
+            ))
+        };
+
+        let range = |min: f64, max: f64| {
+            FilterExpr::Pred(Predicate::Range {
+                column: "x".into(),
+                min,
+                max,
+            })
+        };
+        let isin = |values: &[&str]| {
+            FilterExpr::Pred(Predicate::In {
+                column: "carrier".into(),
+                values: values.iter().map(|s| s.to_string()).collect(),
+            })
+        };
+        let filters = [
+            range(-10.0, 35.0),
+            isin(&["AA", "ZZ"]),
+            isin(&["DL"]).and(range(0.0, 20.0)),
+            FilterExpr::Or(vec![isin(&["UA"]), FilterExpr::And(vec![])]),
+            FilterExpr::Or(vec![]),
+        ];
+        let specs = [
+            VizSpec::new(
+                "v",
+                "t",
+                vec![BinDef::Nominal {
+                    dimension: "carrier".into(),
+                }],
+                vec![
+                    AggregateSpec::count(),
+                    AggregateSpec::over(AggFunc::Avg, "x"),
+                    AggregateSpec::over(AggFunc::Sum, "y"),
+                ],
+            ),
+            VizSpec::new(
+                "v",
+                "t",
+                vec![BinDef::Width {
+                    dimension: "x".into(),
+                    width: 7.5,
+                    anchor: 0.0,
+                }],
+                vec![
+                    AggregateSpec::count(),
+                    AggregateSpec::over(AggFunc::Avg, "y"),
+                ],
+            ),
+        ];
+
+        let check = |ds: &Dataset, label: &str| {
+            for spec in &specs {
+                for filter in &filters {
+                    let q = Query::for_viz(spec, Some(filter.clone()));
+                    let scalar = execute_exact_scalar(ds, &q).unwrap();
+                    for workers in [1, 8] {
+                        assert_eq!(
+                            execute_exact_parallel(ds, &q, workers).unwrap(),
+                            scalar,
+                            "{label}, workers {workers}, {filter:?}"
+                        );
+                    }
+                }
+            }
+        };
+        check(&Dataset::Denormalized(Arc::new(flat.finish())), "flat");
+        for capacity in [usize::MAX, 0] {
+            let ds = star(capacity);
+            check(&ds, &format!("star, capacity {capacity}"));
+            let stats = ds.as_star().unwrap().join_cache_stats();
+            if capacity == 0 {
+                assert_eq!(stats.entries, 0, "every join staged through the FK");
+            } else {
+                assert_eq!(stats.entries, 2, "both attributes materialized");
+            }
+        }
+    }
+
     #[test]
     fn empty_table_completes_immediately() {
         let ds = dataset(0);
