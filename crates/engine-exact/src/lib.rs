@@ -122,7 +122,7 @@ impl SystemAdapter for ExactAdapter {
     fn prepare(&mut self, dataset: &Dataset, settings: &Settings) -> Result<PrepStats, CoreError> {
         self.workers = settings.effective_workers();
         if let Some(existing) = &self.dataset {
-            if same_dataset(existing, dataset) {
+            if existing.ptr_eq(dataset) {
                 return Ok(self.prep);
             }
         }
@@ -151,12 +151,6 @@ impl SystemAdapter for ExactAdapter {
         run.set_workers(self.workers);
         Box::new(ExactHandle { run })
     }
-}
-
-/// Identity check used by all adapters' idempotent `prepare` (thin alias
-/// of [`Dataset::ptr_eq`], kept for API compatibility).
-pub fn same_dataset(a: &Dataset, b: &Dataset) -> bool {
-    a.ptr_eq(b)
 }
 
 /// Total physical rows of a dataset (fact + dimensions), the unit of load

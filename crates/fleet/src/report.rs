@@ -284,6 +284,7 @@ impl FleetReport {
 mod tests {
     use super::*;
     use crate::{FleetConfig, FleetHarness};
+    use idebench_core::ServiceCore;
     use idebench_core::Settings;
     use idebench_engine_exact::ExactAdapter;
     use idebench_workflow::WorkflowType;
@@ -302,8 +303,10 @@ mod tests {
             sessions,
         )
         .with_workflow(WorkflowType::Mixed, 6);
+        let service =
+            ServiceCore::per_session_adapters("exact", |_| Box::new(ExactAdapter::with_defaults()));
         FleetHarness::new(cfg)
-            .run_with(dataset, |_| Box::new(ExactAdapter::with_defaults()))
+            .run(dataset, service.into_shared())
             .unwrap()
     }
 

@@ -6,9 +6,8 @@
 //! table in natural order (`idebench_storage::Dataset::shuffled_copy`),
 //! so the gathered path (`Rows::Gather`) serves only wander's online
 //! queries and progressive sessions whose seed differs from the live
-//! copy's. Every kernel reads a column as a `Flat` slice indexed by morsel
-//! position plus an optional validity mask; only the legacy per-row
-//! `Virtual` access (under `JoinPolicy::Indirect`) reads row by row. Per
+//! copy's. Every kernel reads a column from its stage slot, as a `Flat`
+//! slice indexed by morsel position plus an optional validity mask. Per
 //! morsel:
 //!
 //! 1. **Filter staging.** The stage slots the filter reads are made flat
@@ -45,8 +44,8 @@
 
 use crate::aggregate::{BinAcc, GroupedAcc, MeasureAcc};
 use crate::plan::{
-    AccMode, BoundColumn, ColView, CompiledPlan, PlannedDim, PlannedFilter, RangeTest, StagePhases,
-    StageSpec, WidthSlots, NULL_CODE,
+    AccMode, CompiledPlan, PlannedDim, PlannedFilter, RangeTest, StagePhases, StageSpec,
+    WidthSlots, NULL_CODE,
 };
 use idebench_core::{AggFunc, BinCoord, BinKey};
 use idebench_storage::{Column, ColumnSlice, SelVec};
@@ -62,7 +61,7 @@ pub(crate) type Mask = [u64; WORDS];
 
 /// The mask of morsel positions `0..n`.
 #[inline]
-pub(crate) fn tail_mask(n: usize) -> Mask {
+fn tail_mask(n: usize) -> Mask {
     let mut mask = [0u64; WORDS];
     for (w, word) in mask.iter_mut().enumerate() {
         let lo = w * 64;
@@ -146,7 +145,7 @@ pub(crate) enum FlatKind {
 impl<'a> Flat<'a> {
     /// A column payload as a flat slice.
     #[inline]
-    pub(crate) fn of(data: ColumnSlice<'a>) -> Flat<'a> {
+    fn of(data: ColumnSlice<'a>) -> Flat<'a> {
         match data {
             ColumnSlice::F64(d) => Flat::F64(d),
             ColumnSlice::I64(d) => Flat::I64(d),
@@ -178,10 +177,12 @@ impl<'a> Flat<'a> {
 // -------------------------------------------------------------- binding
 
 /// A [`CompiledPlan`] bound to borrowed column slices for one `advance`.
+/// Filter leaves, binning dimensions and measures name the stage slot they
+/// read.
 pub(crate) struct BoundPlan<'a> {
     filter: Option<BoundFilter<'a>>,
     dims: Vec<BoundDim<'a>>,
-    measures: Vec<Option<ColView<'a>>>,
+    measures: Vec<Option<usize>>,
     /// Per-morsel staging instructions, parallel to the accumulator's
     /// stage buffers.
     stages: Vec<BoundStage<'a>>,
@@ -192,27 +193,21 @@ pub(crate) struct BoundPlan<'a> {
     phases: &'a StagePhases,
 }
 
-pub(crate) enum BoundFilter<'a> {
-    Range {
-        col: ColView<'a>,
-        test: RangeTest,
-    },
-    In {
-        col: ColView<'a>,
-        member: &'a [bool],
-    },
+enum BoundFilter<'a> {
+    Range { slot: usize, test: RangeTest },
+    In { slot: usize, member: &'a [bool] },
     And(Vec<BoundFilter<'a>>),
     Or(Vec<BoundFilter<'a>>),
 }
 
 enum BoundDim<'a> {
     Nominal {
-        col: ColView<'a>,
+        slot: usize,
         /// Dictionary size bounding this dimension's bin space (stride).
         dict_len: u32,
     },
     Width {
-        col: ColView<'a>,
+        slot: usize,
         width: f64,
         anchor: f64,
         /// The arithmetic slot function and bin-space size when the
@@ -252,14 +247,14 @@ impl BoundStage<'_> {
 }
 
 impl PlannedFilter {
-    pub(crate) fn bind(&self) -> BoundFilter<'_> {
+    fn bind(&self) -> BoundFilter<'_> {
         match self {
             PlannedFilter::Range { col, test } => BoundFilter::Range {
-                col: col.view(),
+                slot: col.slot(),
                 test: *test,
             },
             PlannedFilter::In { col, member } => BoundFilter::In {
-                col: col.view(),
+                slot: col.slot(),
                 member,
             },
             PlannedFilter::And(children) => {
@@ -283,7 +278,7 @@ impl CompiledPlan {
                 .iter()
                 .map(|d| match d {
                     PlannedDim::Nominal { col, dict_len } => BoundDim::Nominal {
-                        col: col.view(),
+                        slot: col.slot(),
                         dict_len: (*dict_len).max(1) as u32,
                     },
                     PlannedDim::Width {
@@ -293,7 +288,7 @@ impl CompiledPlan {
                         dense,
                         table,
                     } => BoundDim::Width {
-                        col: col.view(),
+                        slot: col.slot(),
                         width: *width,
                         anchor: *anchor,
                         dense: dense.map(|d| (WidthSlots::new(d, *width, *anchor), d.len as u32)),
@@ -304,7 +299,7 @@ impl CompiledPlan {
             measures: self
                 .measures
                 .iter()
-                .map(|m| m.as_ref().map(|c| c.view()))
+                .map(|m| m.as_ref().map(|c| c.slot()))
                 .collect(),
             stages: self
                 .stages
@@ -351,7 +346,7 @@ enum StageVals {
 
 /// Scratch buffer of one stage slot for the current morsel: flat values
 /// plus a validity mask.
-pub(crate) struct StageBuf {
+struct StageBuf {
     vals: StageVals,
     mask: Mask,
 }
@@ -387,69 +382,49 @@ impl StageBuf {
 /// Where one morsel's kernels read their columns: the morsel's rows plus
 /// the plan's stage slots.
 #[derive(Clone, Copy)]
-pub(crate) struct Morsel<'m> {
+struct Morsel<'m> {
     rows: Rows<'m>,
     specs: &'m [BoundStage<'m>],
     bufs: &'m [StageBuf],
 }
 
 impl<'m> Morsel<'m> {
-    /// A natural-order morsel without stage slots (direct views only).
-    pub(crate) fn natural(base: usize, len: usize) -> Morsel<'m> {
-        Morsel {
-            rows: Rows::Natural { base, len },
-            specs: &[],
-            bufs: &[],
-        }
-    }
-
     fn len(&self) -> usize {
         self.rows.len()
     }
 
-    /// A column as this morsel's kernels read it.
+    /// Stage slot `slot` as this morsel's kernels read it.
     #[inline]
-    fn src(&self, col: ColView<'m>) -> Src<'m> {
-        match col {
-            ColView::Direct(data) => match self.rows {
-                Rows::Natural { base, len } => Src::Flat(data.slice(base, len), None),
-                Rows::Gather(_) => unreachable!("direct views scan in natural order only"),
-            },
-            ColView::Staged(s) => {
-                let (spec, buf) = (&self.specs[s], &self.bufs[s]);
-                let mask = spec.nullable().then_some(&buf.mask);
-                match (spec, self.rows) {
-                    (BoundStage::Own { col }, Rows::Natural { base, len }) => {
-                        Src::Flat(Flat::of(col.typed()).slice(base, len), mask)
-                    }
-                    _ => Src::Flat(buf.flat(self.len()), mask),
-                }
+    fn src(&self, slot: usize) -> Src<'m> {
+        let (spec, buf) = (&self.specs[slot], &self.bufs[slot]);
+        let vals = match (spec, self.rows) {
+            (BoundStage::Own { col }, Rows::Natural { base, len }) => {
+                Flat::of(col.typed()).slice(base, len)
             }
-            ColView::Virtual(c) => Src::Rows(c),
-        }
-    }
-
-    /// Numeric value of a column at morsel position `i` (`None` when
-    /// null) — the sparse store's row-at-a-time measure accessor.
-    #[inline(always)]
-    fn value(&self, src: Src<'m>, i: usize) -> Option<f64> {
-        match src {
-            Src::Flat(flat, mask) => {
-                (mask.is_none_or(|mk| mk[i / 64] >> (i % 64) & 1 == 1)).then(|| flat.num(i))
-            }
-            Src::Rows(c) => c.numeric(self.rows.row(i)),
+            _ => buf.flat(self.len()),
+        };
+        Src {
+            vals,
+            mask: spec.nullable().then_some(&buf.mask),
         }
     }
 }
 
-/// A column as one morsel's kernels read it.
+/// A column as one morsel's kernels read it: values at the morsel's
+/// positions, with the validity mask when positions can be null.
 #[derive(Clone, Copy)]
-enum Src<'m> {
-    /// Values at the morsel's positions, with the validity mask when
-    /// positions can be null.
-    Flat(Flat<'m>, Option<&'m Mask>),
-    /// Per-row virtualized access.
-    Rows(BoundColumn<'m>),
+struct Src<'m> {
+    vals: Flat<'m>,
+    mask: Option<&'m Mask>,
+}
+
+impl Src<'_> {
+    /// Numeric value at morsel position `i` (`None` when null) — the
+    /// sparse store's row-at-a-time measure accessor.
+    #[inline(always)]
+    fn value(self, i: usize) -> Option<f64> {
+        (self.mask.is_none_or(|mk| mk[i / 64] >> (i % 64) & 1 == 1)).then(|| self.vals.num(i))
+    }
 }
 
 /// Gathers `src[order[i]]` into `dst[i]` at the selected positions — a loop
@@ -589,52 +564,34 @@ fn fill_words<T: Copy>(vals: &[T], care: &Mask, out: &mut Mask, pred: impl Fn(T)
     }
 }
 
-/// Writes `care & pred(row)` into `out` position by position — the
-/// per-row virtualized access.
-#[inline]
-fn fill_rows(rows: Rows<'_>, care: &Mask, out: &mut Mask, pred: impl Fn(usize) -> bool) {
-    *out = [0u64; WORDS];
-    for_each_pos(care, |i| {
-        if pred(rows.row(i)) {
-            out[i / 64] |= 1u64 << (i % 64);
-        }
-    });
-}
-
 /// Evaluates a filter tree over the `care` positions of one morsel:
 /// `out = care & filter`. Null values never match, mirroring SQL WHERE
 /// semantics.
-pub(crate) fn eval_filter(f: &BoundFilter<'_>, m: &Morsel<'_>, care: &Mask, out: &mut Mask) {
+fn eval_filter(f: &BoundFilter<'_>, m: &Morsel<'_>, care: &Mask, out: &mut Mask) {
     match f {
-        BoundFilter::Range { col, test } => match m.src(*col) {
-            Src::Flat(flat, valid) => {
-                let care = valid.map_or(*care, |v| and(care, v));
-                match (flat, test.ints) {
-                    (Flat::F64(d), _) => fill_words(d, &care, out, |v| test.f64(v)),
-                    (Flat::I64(d), Some((lo, hi))) => {
-                        fill_words(d, &care, out, |v| lo <= v && v <= hi)
-                    }
-                    (Flat::Codes(d), Some((lo, hi))) => {
-                        fill_words(d, &care, out, |c| lo <= i64::from(c) && i64::from(c) <= hi)
-                    }
-                    (Flat::I64(_) | Flat::Codes(_), None) => *out = [0u64; WORDS],
+        BoundFilter::Range { slot, test } => {
+            let src = m.src(*slot);
+            let care = src.mask.map_or(*care, |v| and(care, v));
+            match (src.vals, test.ints) {
+                (Flat::F64(d), _) => fill_words(d, &care, out, |v| test.f64(v)),
+                (Flat::I64(d), Some((lo, hi))) => fill_words(d, &care, out, |v| lo <= v && v <= hi),
+                (Flat::Codes(d), Some((lo, hi))) => {
+                    fill_words(d, &care, out, |c| lo <= i64::from(c) && i64::from(c) <= hi)
                 }
+                (Flat::I64(_) | Flat::Codes(_), None) => *out = [0u64; WORDS],
             }
-            Src::Rows(c) => fill_rows(m.rows, care, out, |r| {
-                c.numeric(r).is_some_and(|v| test.f64(v))
-            }),
-        },
-        BoundFilter::In { col, member } => {
+        }
+        BoundFilter::In { slot, member } => {
             let hit = |c: u32| member.get(c as usize).copied().unwrap_or(false);
-            match m.src(*col) {
-                Src::Flat(Flat::Codes(d), valid) => {
-                    let care = valid.map_or(*care, |v| and(care, v));
+            let src = m.src(*slot);
+            match src.vals {
+                Flat::Codes(d) => {
+                    let care = src.mask.map_or(*care, |v| and(care, v));
                     fill_words(d, &care, out, hit);
                 }
                 // Numeric columns have no dictionary codes: nothing
-                // matches, mirroring the per-row accessor returning `None`.
-                Src::Flat(Flat::F64(_) | Flat::I64(_), _) => *out = [0u64; WORDS],
-                Src::Rows(c) => fill_rows(m.rows, care, out, |r| c.code(r).is_some_and(hit)),
+                // matches (compilation rejects IN over them).
+                Flat::F64(_) | Flat::I64(_) => *out = [0u64; WORDS],
             }
         }
         BoundFilter::And(children) => {
@@ -687,18 +644,17 @@ fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: 
     // dimension. Devirtualized star joins land here, so a joined×joined
     // binning slots exactly like a de-normalized one.
     if let [BoundDim::Nominal {
-        col: c0,
+        slot: c0,
         dict_len: stride,
-    }, BoundDim::Nominal { col: c1, .. }] = dims
+    }, BoundDim::Nominal { slot: c1, .. }] = dims
     {
-        if let (Src::Flat(Flat::Codes(s0), m0), Src::Flat(Flat::Codes(s1), m1)) =
-            (m.src(*c0), m.src(*c1))
-        {
+        let (src0, src1) = (m.src(*c0), m.src(*c1));
+        if let (Flat::Codes(s0), Flat::Codes(s1)) = (src0.vals, src1.vals) {
             let stride = (*stride).max(1);
             for (slot, (&a, &b)) in slots.iter_mut().zip(s0.iter().zip(s1)) {
                 *slot = a + b * stride;
             }
-            for mask in [m0, m1].into_iter().flatten() {
+            for mask in [src0.mask, src1.mask].into_iter().flatten() {
                 *valid = and(valid, mask);
             }
             return;
@@ -722,39 +678,25 @@ fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: 
                 }
             }};
         }
-        // The per-row virtualized arm; null rows leave `valid`.
-        macro_rules! slot_rows {
-            ($get:expr) => {{
-                let get = $get;
-                for i in 0..n {
-                    match get(m.rows.row(i)) {
-                        Some(s) if di == 0 => slots[i] = s,
-                        Some(s) => slots[i] += s * stride,
-                        None => valid[i / 64] &= !(1u64 << (i % 64)),
-                    }
-                }
-            }};
-        }
-        let (col, len) = match dim {
-            BoundDim::Nominal { col, dict_len } => (col, *dict_len),
-            BoundDim::Width { col, dense, .. } => (
-                col,
+        let (slot, len) = match dim {
+            BoundDim::Nominal { slot, dict_len } => (slot, *dict_len),
+            BoundDim::Width { slot, dense, .. } => (
+                slot,
                 dense.expect("dense path requires bounded bucket space").1,
             ),
         };
-        let src = m.src(*col);
-        if let Src::Flat(_, Some(mask)) = src {
+        let src = m.src(*slot);
+        if let Some(mask) = src.mask {
             *valid = and(valid, mask);
         }
-        match (dim, src) {
-            (BoundDim::Nominal { .. }, Src::Flat(Flat::Codes(d), _)) => slot_span!(d, |c| c),
-            (BoundDim::Nominal { .. }, Src::Flat(..)) => {
+        match (dim, src.vals) {
+            (BoundDim::Nominal { .. }, Flat::Codes(d)) => slot_span!(d, |c| c),
+            (BoundDim::Nominal { .. }, _) => {
                 // Compilation rejects nominal binning over non-nominal
                 // columns, and stage slots preserve the type.
                 unreachable!("nominal binning compiled over a non-nominal column")
             }
-            (BoundDim::Nominal { .. }, Src::Rows(c)) => slot_rows!(|r| c.code(r)),
-            (BoundDim::Width { dense, table, .. }, Src::Flat(flat, _)) => {
+            (BoundDim::Width { dense, table, .. }, flat) => {
                 let f = dense.expect("dense path requires bounded bucket space").0;
                 match (flat, table) {
                     (Flat::I64(d), Some((min, t))) => slot_span!(d, |v| table_slot(*min, t, v)),
@@ -765,10 +707,6 @@ fn dense_slots(dims: &[BoundDim<'_>], m: &Morsel<'_>, slots: &mut [u32], valid: 
                     (Flat::I64(d), None) => slot_span!(d, |v| f.slot_of(v as f64)),
                     (Flat::Codes(d), None) => slot_span!(d, |c| f.slot_of(f64::from(c))),
                 }
-            }
-            (BoundDim::Width { dense, .. }, Src::Rows(c)) => {
-                let f = dense.expect("dense path requires bounded bucket space").0;
-                slot_rows!(|r| c.numeric(r).map(|v| f.slot_of(v)))
             }
         }
         stride *= len.max(1);
@@ -788,44 +726,25 @@ fn sparse_keys(
     *valid = tail_mask(n);
     for (di, dim) in dims.iter().enumerate() {
         let out: &mut [i64] = if di == 0 { k0 } else { k1 };
-        // The per-row virtualized arm; null rows leave `valid`.
-        macro_rules! key_rows {
-            ($get:expr) => {{
-                let get = $get;
-                for i in 0..n {
-                    match get(m.rows.row(i)) {
-                        Some(k) => out[i] = k,
-                        None => valid[i / 64] &= !(1u64 << (i % 64)),
-                    }
-                }
-            }};
-        }
-        let col = match dim {
-            BoundDim::Nominal { col, .. } | BoundDim::Width { col, .. } => col,
+        let slot = match dim {
+            BoundDim::Nominal { slot, .. } | BoundDim::Width { slot, .. } => slot,
         };
-        let src = m.src(*col);
-        if let Src::Flat(_, Some(mask)) = src {
+        let src = m.src(*slot);
+        if let Some(mask) = src.mask {
             *valid = and(valid, mask);
         }
-        match (dim, src) {
-            (BoundDim::Nominal { .. }, Src::Flat(Flat::Codes(d), _)) => {
+        match (dim, src.vals) {
+            (BoundDim::Nominal { .. }, Flat::Codes(d)) => {
                 for (o, &c) in out.iter_mut().zip(d) {
                     *o = i64::from(c);
                 }
             }
-            (BoundDim::Nominal { .. }, Src::Flat(..)) => {
+            (BoundDim::Nominal { .. }, _) => {
                 unreachable!("nominal binning compiled over a non-nominal column")
             }
-            (BoundDim::Nominal { .. }, Src::Rows(c)) => key_rows!(|r| c.code(r).map(i64::from)),
-            (BoundDim::Width { width, anchor, .. }, src) => {
-                let key_of = |v: f64| ((v - anchor) / width).floor() as i64;
-                match src {
-                    Src::Flat(flat, _) => {
-                        for (i, o) in out.iter_mut().enumerate().take(n) {
-                            *o = key_of(flat.num(i));
-                        }
-                    }
-                    Src::Rows(c) => key_rows!(|r| c.numeric(r).map(key_of)),
+            (BoundDim::Width { width, anchor, .. }, flat) => {
+                for (i, o) in out.iter_mut().enumerate().take(n) {
+                    *o = ((flat.num(i) - anchor) / width).floor() as i64;
                 }
             }
         }
@@ -1028,11 +947,11 @@ impl BatchAcc {
                 // Counts pass. Full words (the common unfiltered case) skip
                 // the per-bit scan; iteration order is unchanged either way.
                 let mut count = |slot: u32| {
-                    let slot = slot as usize;
-                    if counts[slot] == 0 {
-                        touched.push(slot as u32);
+                    let c = &mut counts[slot as usize];
+                    if *c == 0 {
+                        touched.push(slot);
                     }
-                    counts[slot] += 1;
+                    *c += 1;
                 };
                 for (w, &bits) in live.iter().enumerate() {
                     if bits == u64::MAX {
@@ -1062,24 +981,14 @@ impl BatchAcc {
                         });
                     }};
                 }
-                for (mi, col) in bound.measures.iter().enumerate() {
-                    let Some(col) = col else { continue };
-                    match m.src(*col) {
-                        Src::Flat(flat, mask) => {
-                            let live = mask.map_or(live, |mk| and(&live, mk));
-                            match flat {
-                                Flat::F64(d) => measure_pass!(mi, live, |i: usize| d[i]),
-                                Flat::I64(d) => measure_pass!(mi, live, |i: usize| d[i] as f64),
-                                Flat::Codes(d) => {
-                                    measure_pass!(mi, live, |i: usize| f64::from(d[i]))
-                                }
-                            }
-                        }
-                        Src::Rows(c) => for_each_pos(&live, |i| {
-                            if let Some(v) = c.numeric(rows.row(i)) {
-                                measures[slots[i] as usize * nmeasures + mi].update(v);
-                            }
-                        }),
+                for (mi, slot) in bound.measures.iter().enumerate() {
+                    let Some(slot) = slot else { continue };
+                    let src = m.src(*slot);
+                    let live = src.mask.map_or(live, |mk| and(&live, mk));
+                    match src.vals {
+                        Flat::F64(d) => measure_pass!(mi, live, |i: usize| d[i]),
+                        Flat::I64(d) => measure_pass!(mi, live, |i: usize| d[i] as f64),
+                        Flat::Codes(d) => measure_pass!(mi, live, |i: usize| f64::from(d[i])),
                     }
                 }
             }
@@ -1088,7 +997,7 @@ impl BatchAcc {
                 let two_d = bound.dims.len() == 2;
                 let nmeasures = self.nmeasures;
                 let srcs: Vec<Option<Src<'_>>> =
-                    bound.measures.iter().map(|c| c.map(|c| m.src(c))).collect();
+                    bound.measures.iter().map(|s| s.map(|s| m.src(s))).collect();
                 // Consecutive rows often land in the same bin; memoize the
                 // last slot to skip the hash probe.
                 let mut last: Option<((i64, i64), u32)> = None;
@@ -1114,7 +1023,7 @@ impl BatchAcc {
                     let acc = &mut accs[slot as usize].1;
                     acc.count += 1;
                     for (mi, src) in srcs.iter().enumerate() {
-                        if let Some(v) = src.and_then(|s| m.value(s, i)) {
+                        if let Some(v) = src.and_then(|s| s.value(i)) {
                             acc.measures[mi].update(v);
                         }
                     }

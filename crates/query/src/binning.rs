@@ -2,7 +2,7 @@
 
 use crate::resolve::ResolvedColumn;
 use idebench_core::{BinCoord, BinDef, BinKey, CoreError};
-use idebench_storage::{Dataset, Table};
+use idebench_storage::Dataset;
 
 /// One compiled binning dimension.
 enum CompiledDim<'a> {
@@ -46,18 +46,7 @@ impl<'a> CompiledBinning<'a> {
     /// beforehand (it needs a data min/max pass); encountering one here is
     /// an error.
     pub fn compile(dataset: &'a Dataset, defs: &[BinDef]) -> Result<Self, CoreError> {
-        Self::compile_with(defs, &mut |name| ResolvedColumn::new(dataset, name))
-    }
-
-    /// Compiles against a bare table (sample tables).
-    pub fn compile_on_table(table: &'a Table, defs: &[BinDef]) -> Result<Self, CoreError> {
-        Self::compile_with(defs, &mut |name| ResolvedColumn::on_table(table, name))
-    }
-
-    fn compile_with(
-        defs: &[BinDef],
-        resolve: &mut dyn FnMut(&str) -> Result<ResolvedColumn<'a>, CoreError>,
-    ) -> Result<Self, CoreError> {
+        let resolve = |name: &str| ResolvedColumn::new(dataset, name);
         let dims = defs
             .iter()
             .map(|def| {

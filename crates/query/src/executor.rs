@@ -324,24 +324,7 @@ pub fn execute_exact_parallel(
     query: &Query,
     workers: usize,
 ) -> Result<AggResult, CoreError> {
-    execute_exact_with_policy(dataset, query, workers, crate::plan::JoinPolicy::default())
-}
-
-/// Runs a query to completion on the vectorized path under an explicit
-/// [`crate::plan::JoinPolicy`].
-///
-/// Results are bit-identical across policies and worker counts — the
-/// policy only decides whether star-schema kernels pay the per-row join
-/// indirection. `bench_scan`'s star-join gate and the join differential
-/// tests compare the devirtualized path against
-/// [`crate::plan::JoinPolicy::Indirect`] through this entry point.
-pub fn execute_exact_with_policy(
-    dataset: &Dataset,
-    query: &Query,
-    workers: usize,
-    policy: crate::plan::JoinPolicy,
-) -> Result<AggResult, CoreError> {
-    let plan = CompiledPlan::compile_with(dataset, query, policy)?;
+    let plan = CompiledPlan::compile(dataset, query)?;
     let mut run = ChunkedRun::from_plan(plan, None, SnapshotMode::Exact);
     run.set_workers(workers);
     while !run.is_done() {
@@ -912,7 +895,6 @@ mod tests {
 
     #[test]
     fn join_paths_agree_with_scalar_bit_for_bit() {
-        use crate::plan::JoinPolicy;
         let spec = VizSpec::new(
             "v",
             "flights",
@@ -939,19 +921,14 @@ mod tests {
                 values: vec!["C1".into(), "C4".into(), "C6".into()],
             })),
         );
-        // Materialized (shared-cache), staged (capacity 0), and legacy
-        // indirect join access must all equal the scalar reference.
+        // Materialized (shared-cache) and staged (capacity 0) join access
+        // must both equal the scalar reference.
         for capacity in [usize::MAX, 0] {
             let ds = star_dataset(5 * crate::batch::MORSEL + 311, capacity);
             let scalar = execute_exact_scalar(&ds, &q).unwrap();
             for workers in [1, 8] {
-                for policy in [JoinPolicy::Devirtualized, JoinPolicy::Indirect] {
-                    let got = execute_exact_with_policy(&ds, &q, workers, policy).unwrap();
-                    assert_eq!(
-                        got, scalar,
-                        "capacity {capacity}, workers {workers}, {policy:?}"
-                    );
-                }
+                let got = execute_exact_parallel(&ds, &q, workers).unwrap();
+                assert_eq!(got, scalar, "capacity {capacity}, workers {workers}");
             }
         }
     }
@@ -970,7 +947,7 @@ mod tests {
         let key = |i: usize| (i * 37) % DIM_ROWS;
         let carrier = |d: usize| ["AA", "DL", "UA"][d % 3];
         let x = |d: usize| {
-            if d % 7 == 0 {
+            if d.is_multiple_of(7) {
                 Value::Null
             } else {
                 Value::Float(d as f64 - 40.0)

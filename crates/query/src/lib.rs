@@ -95,13 +95,11 @@ pub use binning::CompiledBinning;
 pub use dispatch::{available_workers, MorselDispatcher, CHUNK_ROWS};
 pub use executor::{
     execute_exact, execute_exact_parallel, execute_exact_scalar, execute_exact_scalar_with_order,
-    execute_exact_with_policy, ChunkedRun, SnapshotMode,
+    ChunkedRun, SnapshotMode,
 };
 pub use filter::CompiledFilter;
 pub use ground_truth::{enumerate_workload_queries, CachedGroundTruth};
-pub use plan::{
-    thread_plan_compilations, AccMode, CompiledPlan, JoinPolicy, PlannedColumn, DENSE_BIN_CAP,
-};
+pub use plan::{thread_plan_compilations, AccMode, CompiledPlan, PlannedColumn, DENSE_BIN_CAP};
 pub use pool::{global_pool, ScanPool};
 pub use resolve::{ResolvedColumn, ResolvedQuery};
 pub use sql::to_sql;

@@ -23,9 +23,8 @@
 //! # Join devirtualization
 //!
 //! On star schemas, a dimension attribute is logically reached through the
-//! fact table's foreign key (`column[fk[row]]`). Under the default
-//! [`JoinPolicy::Devirtualized`], compilation eliminates that per-row
-//! indirection from the kernels:
+//! fact table's foreign key (`column[fk[row]]`). Compilation removes that
+//! per-row indirection from the kernels:
 //!
 //! 1. **Materialization** (preferred): the plan asks the schema's shared
 //!    [`idebench_storage::StarSchema::materialize_join`] cache for a
@@ -37,15 +36,16 @@
 //!    cache — dictionary codes for nominal attributes, widened values for
 //!    numeric ones — and each morsel gathers the FK column **once** into a
 //!    shared staging buffer, translating every joined column through its
-//!    cache into flat per-morsel slices.
+//!    cache into flat per-morsel slices. Staging encodes dimension rows as
+//!    `u32`, so a dimension of `u32::MAX` rows or more that the shared
+//!    cache declines is rejected with [`CoreError::Unsupported`].
 //!
-//! Either way, the batch kernels only ever see flat slices (plus a staged
-//! validity mask); the legacy per-row virtualized access survives solely
-//! under [`JoinPolicy::Indirect`] as the differential/benchmark baseline.
+//! Either way, the batch kernels only ever see flat slices plus a staged
+//! validity mask.
 //!
 //! # Stage slots
 //!
-//! Every other planned column is a *stage slot* (`StageSpec`): a
+//! Every planned column reads from a *stage slot* (`StageSpec`): a
 //! fact-table (or materialized) column, or a joined column translated
 //! through a per-plan cache. A fully valid fact column in a natural-order
 //! morsel is read in place; in a shuffled-order morsel it is gathered
@@ -64,7 +64,7 @@
 //! cost model ([`CompiledPlan::row_cost`], [`CompiledPlan::width_units`])
 //! still charges every logical join, exactly as before.
 
-use crate::batch::{Flat, FlatKind};
+use crate::batch::FlatKind;
 use idebench_core::{BinDef, CoreError, FilterExpr, Predicate, Query};
 use idebench_storage::{Column, ColumnSlice, Dataset, SelVec, Table};
 use rustc_hash::FxHashMap;
@@ -90,65 +90,37 @@ pub fn thread_plan_compilations() -> u64 {
     PLAN_COMPILATIONS.with(Cell::get)
 }
 
-/// How a [`CompiledPlan`] executes star-schema join access (module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinPolicy {
-    /// Joined columns are lowered to flat slices: materialized fact-ordered
-    /// copies from the shared [`idebench_storage::StarSchema`] join cache
-    /// when it has room, per-morsel FK staging through per-plan dimension
-    /// caches otherwise. The default.
-    #[default]
-    Devirtualized,
-    /// The pre-cache behaviour: every access to a joined (or nullable)
-    /// column pays the per-row `column[fk[row]]` double indirection inside
-    /// the kernels. Kept as the differential-test and benchmark baseline.
-    Indirect,
-}
-
 /// Sentinel in a per-plan nominal join cache marking a null dimension row.
 pub(crate) const NULL_CODE: u32 = u32::MAX;
-
-/// How morsel kernels physically access a planned column.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Access {
-    /// Stage slot `slot` (see [`StageSpec`]): flat values at morsel
-    /// positions plus a validity mask.
-    Staged { slot: usize },
-    /// Legacy per-row virtualized access (fk indirection + null checks in
-    /// the row loop). Only under [`JoinPolicy::Indirect`], and for
-    /// standalone-resolved columns.
-    Virtual,
-}
 
 /// A query column resolved to owned storage handles.
 ///
 /// `table` holds the column payload; for star-schema dimension attributes,
 /// `fk` names the fact table's foreign-key column through which fact rows
 /// logically reach it (`column[fk[row]]` — the indirection *is* the join).
-/// `access` says how kernels read the column (see `Access`); a join the
-/// shared cache devirtualized reads its fact-ordered copy through a stage
-/// slot. The *cost model* always follows `fk`: a devirtualized join still
-/// bills as a join.
+/// `slot` is the stage slot kernels read the column from (see
+/// `StageSpec`); a join the shared cache materialized reads its
+/// fact-ordered copy there. The *cost model* always follows `fk`: a
+/// devirtualized join still bills as a join.
 #[derive(Debug, Clone)]
 pub struct PlannedColumn {
     table: Arc<Table>,
     col: usize,
-    fk: Option<(Arc<Table>, usize)>,
-    access: Access,
+    fk: Option<FkCol>,
+    slot: usize,
 }
 
 impl PlannedColumn {
     /// Resolves `name` against the dataset.
     ///
-    /// Standalone resolution keeps per-row virtualized access;
-    /// [`CompiledPlan::compile`] assigns its columns stage slots per
-    /// [`JoinPolicy`].
+    /// The column's stage slot is left unassigned: [`CompiledPlan::compile`]
+    /// assigns one to every column of its plan.
     pub fn resolve(dataset: &Dataset, name: &str) -> Result<Self, CoreError> {
-        let make = |table: Arc<Table>, col: usize, fk: Option<(Arc<Table>, usize)>| PlannedColumn {
+        let make = |table: Arc<Table>, col: usize, fk: Option<FkCol>| PlannedColumn {
             table,
             col,
             fk,
-            access: Access::Virtual,
+            slot: usize::MAX,
         };
         match dataset {
             Dataset::Denormalized(t) => Ok(make(Arc::clone(t), t.schema().index_of(name)?, None)),
@@ -202,52 +174,10 @@ impl PlannedColumn {
         }
     }
 
-    /// Binds the plan column to the legacy per-row virtualized accessor.
+    /// The stage slot kernels read the column from.
     #[inline]
-    pub(crate) fn bind(&self) -> BoundColumn<'_> {
-        let column = self.column();
-        BoundColumn {
-            data: column.typed(),
-            validity: column.validity(),
-            fk: self.fk.as_ref().map(|(fact, idx)| {
-                fact.column_at(*idx)
-                    .as_int()
-                    .expect("fk column validated at compile time")
-            }),
-        }
-    }
-
-    /// The column as one morsel's kernels see it (see [`ColView`]).
-    #[inline]
-    pub(crate) fn view(&self) -> ColView<'_> {
-        match self.access {
-            Access::Staged { slot } => ColView::Staged(slot),
-            Access::Virtual => ColView::Virtual(self.bind()),
-        }
-    }
-}
-
-/// A column as the morsel kernels consume it: a flat, fully valid payload
-/// indexed by fact row (the borrow-based scalar filter lowering, natural
-/// order only), a compiled plan's stage slot, or the retained per-row
-/// virtualized accessor ([`JoinPolicy::Indirect`]). Kernels resolve the
-/// first two to position-indexed [`Flat`] slices once per morsel; only
-/// `Virtual` is read row by row.
-#[derive(Clone, Copy)]
-pub(crate) enum ColView<'a> {
-    /// Flat payload indexed by fact row, without nulls.
-    Direct(Flat<'a>),
-    /// Stage slot `slot` of the compiled plan.
-    Staged(usize),
-    /// Per-row virtualized access.
-    Virtual(BoundColumn<'a>),
-}
-
-impl<'a> ColView<'a> {
-    /// Direct view of a flat, fully-valid payload.
-    #[inline]
-    pub(crate) fn direct(data: ColumnSlice<'a>) -> Self {
-        ColView::Direct(Flat::of(data))
+    pub(crate) fn slot(&self) -> usize {
+        self.slot
     }
 }
 
@@ -302,55 +232,16 @@ impl RangeTest {
     }
 }
 
-/// A [`PlannedColumn`] bound to borrowed slices for per-row virtualized
-/// access — the one non-flat arm of [`ColView`].
-#[derive(Clone, Copy)]
-pub(crate) struct BoundColumn<'a> {
-    pub data: ColumnSlice<'a>,
-    pub validity: Option<&'a SelVec>,
-    pub fk: Option<&'a [i64]>,
-}
-
-impl BoundColumn<'_> {
-    /// The physical row backing fact row `row`.
-    #[inline(always)]
-    pub fn physical(&self, row: usize) -> usize {
-        match self.fk {
-            Some(fk) => fk[row] as usize,
-            None => row,
-        }
+/// Staging encodes dimension rows as `u32` (the staged FK buffer, and
+/// per-plan code caches with [`NULL_CODE`] reserved), so a joined column
+/// whose dimension has `u32::MAX` rows or more cannot be staged.
+fn check_stageable(name: &str, dim_rows: usize) -> Result<(), CoreError> {
+    if dim_rows >= u32::MAX as usize {
+        return Err(CoreError::Unsupported(format!(
+            "join on {name}: a dimension of {dim_rows} rows exceeds the u32 staging encoding"
+        )));
     }
-
-    /// Numeric value at the fact row; `None` when null.
-    #[inline(always)]
-    pub fn numeric(&self, row: usize) -> Option<f64> {
-        let r = self.physical(row);
-        if let Some(v) = self.validity {
-            if !v.contains(r) {
-                return None;
-            }
-        }
-        Some(match self.data {
-            ColumnSlice::F64(d) => d[r],
-            ColumnSlice::I64(d) => d[r] as f64,
-            ColumnSlice::Codes(d, _) => f64::from(d[r]),
-        })
-    }
-
-    /// Dictionary code at the fact row; `None` when null or non-nominal.
-    #[inline(always)]
-    pub fn code(&self, row: usize) -> Option<u32> {
-        let r = self.physical(row);
-        if let Some(v) = self.validity {
-            if !v.contains(r) {
-                return None;
-            }
-        }
-        match self.data {
-            ColumnSlice::Codes(d, _) => Some(d[r]),
-            _ => None,
-        }
-    }
+    Ok(())
 }
 
 /// A filter tree lowered to planned columns and dense membership tables.
@@ -427,14 +318,15 @@ impl PlannedFilter {
         }
     }
 
-    fn for_each_col_mut(&mut self, f: &mut impl FnMut(&mut PlannedColumn)) {
+    fn try_for_each_col_mut(
+        &mut self,
+        f: &mut impl FnMut(&mut PlannedColumn) -> Result<(), CoreError>,
+    ) -> Result<(), CoreError> {
         match self {
             PlannedFilter::Range { col, .. } | PlannedFilter::In { col, .. } => f(col),
-            PlannedFilter::And(children) | PlannedFilter::Or(children) => {
-                for c in children {
-                    c.for_each_col_mut(f);
-                }
-            }
+            PlannedFilter::And(children) | PlannedFilter::Or(children) => children
+                .iter_mut()
+                .try_for_each(|c| c.try_for_each_col_mut(f)),
         }
     }
 
@@ -666,6 +558,9 @@ pub(crate) struct StagePhases {
     pub post_fks: Vec<usize>,
 }
 
+/// A foreign-key column: the fact table and the column's index in it.
+pub(crate) type FkCol = (Arc<Table>, usize);
+
 /// An owned, reusable compiled query plan (see module docs).
 pub struct CompiledPlan {
     dataset: Dataset,
@@ -677,10 +572,9 @@ pub struct CompiledPlan {
     pub(crate) stages: Vec<StageSpec>,
     /// Distinct foreign-key columns gathered once per morsel, shared by
     /// every [`StageSpec::JoinCodes`]/[`StageSpec::JoinNum`] over them.
-    pub(crate) fk_cols: Vec<(Arc<Table>, usize)>,
+    pub(crate) fk_cols: Vec<FkCol>,
     /// Filter-phase vs. post-filter-phase staging split.
     pub(crate) phases: StagePhases,
-    policy: JoinPolicy,
     acc_mode: AccMode,
     num_rows: usize,
     joined_columns: usize,
@@ -689,23 +583,9 @@ pub struct CompiledPlan {
 }
 
 impl CompiledPlan {
-    /// Compiles `query` against `dataset` under the default
-    /// [`JoinPolicy::Devirtualized`]. The dataset handle is cheap to clone
-    /// (`Arc`s all the way down) and is retained inside the plan.
+    /// Compiles `query` against `dataset`. The dataset handle is cheap to
+    /// clone (`Arc`s all the way down) and is retained inside the plan.
     pub fn compile(dataset: &Dataset, query: &Query) -> Result<Self, CoreError> {
-        Self::compile_with(dataset, query, JoinPolicy::default())
-    }
-
-    /// Compiles `query` against `dataset` under an explicit [`JoinPolicy`].
-    ///
-    /// Results are bit-identical across policies — the policy only decides
-    /// whether kernels pay the per-row join indirection; differential tests
-    /// and `bench_scan`'s star-join gate rely on that.
-    pub fn compile_with(
-        dataset: &Dataset,
-        query: &Query,
-        policy: JoinPolicy,
-    ) -> Result<Self, CoreError> {
         PLAN_COMPILATIONS.with(|c| c.set(c.get() + 1));
         let mut filter = query
             .filter()
@@ -733,8 +613,7 @@ impl CompiledPlan {
             })
             .collect::<Result<Vec<_>, _>>()?;
 
-        let (stages, fk_cols) =
-            Self::plan_access(dataset, policy, &mut filter, &mut dims, &mut measures);
+        let (stages, fk_cols) = Self::plan_stages(dataset, &mut filter, &mut dims, &mut measures)?;
         let phases = Self::partition_stages(&filter, &stages, fk_cols.len());
         let acc_mode = Self::pick_acc_mode(&dims);
         let joined_columns = dims.iter().filter(|d| d.col().is_joined()).count()
@@ -761,7 +640,6 @@ impl CompiledPlan {
             stages,
             fk_cols,
             phases,
-            policy,
             acc_mode,
             joined_columns,
             width_units,
@@ -769,104 +647,89 @@ impl CompiledPlan {
         })
     }
 
-    /// Assigns every planned column its kernel [`Access`], deduplicated by
-    /// physical column: the shared stage slots, per-plan join caches, and
-    /// distinct FK staging columns fall out of this pass (module docs).
-    fn plan_access(
+    /// Assigns every planned column its stage slot, deduplicated by
+    /// physical column: the stage slots, per-plan join caches, and distinct
+    /// FK staging columns fall out of this pass (module docs).
+    fn plan_stages(
         dataset: &Dataset,
-        policy: JoinPolicy,
         filter: &mut Option<PlannedFilter>,
         dims: &mut [PlannedDim],
         measures: &mut [Option<PlannedColumn>],
-    ) -> (Vec<StageSpec>, Vec<(Arc<Table>, usize)>) {
-        // The access of each physical column.
+    ) -> Result<(Vec<StageSpec>, Vec<FkCol>), CoreError> {
         let star = dataset.as_star();
         let mut stages: Vec<StageSpec> = Vec::new();
-        let mut fk_cols: Vec<(Arc<Table>, usize)> = Vec::new();
-        let mut memo: FxHashMap<(usize, usize), Access> = FxHashMap::default();
+        let mut fk_cols: Vec<FkCol> = Vec::new();
+        // The stage slot of each physical column.
+        let mut memo: FxHashMap<(usize, usize), usize> = FxHashMap::default();
 
-        let mut assign = |col: &mut PlannedColumn| {
+        let mut assign = |col: &mut PlannedColumn| -> Result<(), CoreError> {
             let key = (Arc::as_ptr(&col.table) as usize, col.col);
-            if let Some(access) = memo.get(&key) {
-                col.access = *access;
-                return;
+            if let Some(&slot) = memo.get(&key) {
+                col.slot = slot;
+                return Ok(());
             }
-            let mut push_stage = |spec: StageSpec| {
-                stages.push(spec);
-                Access::Staged {
-                    slot: stages.len() - 1,
-                }
-            };
-            let materialized = match (policy, &col.fk, star) {
-                (JoinPolicy::Devirtualized, Some(_), Some(s)) => s.materialize_join(col.name()),
+            let materialized = match (&col.fk, star) {
+                (Some(_), Some(s)) => s.materialize_join(col.name()),
                 _ => None,
             };
-            let access = if let Some(m) = materialized {
-                push_stage(StageSpec::Own(ColRef::Owned(m)))
+            let spec = if let Some(m) = materialized {
+                StageSpec::Own(ColRef::Owned(m))
             } else if let Some((fact, fk_idx)) = &col.fk {
-                // Joined but not materialized (shared cache full, or no
-                // star): per-plan dimension-row caches, unless the policy
-                // keeps the per-row indirection or the dimension outgrows
-                // the u32 staging encoding.
+                // Joined but not materialized (shared cache full):
+                // per-plan dimension-row caches.
                 let dim_col = col.column();
-                if policy == JoinPolicy::Indirect || dim_col.len() >= u32::MAX as usize {
-                    Access::Virtual
-                } else {
-                    let fk_key = (Arc::clone(fact), *fk_idx);
-                    let fk_slot = fk_cols
-                        .iter()
-                        .position(|(t, i)| Arc::ptr_eq(t, fact) && i == fk_idx)
-                        .unwrap_or_else(|| {
-                            fk_cols.push(fk_key);
-                            fk_cols.len() - 1
-                        });
-                    push_stage(match dim_col.typed() {
-                        ColumnSlice::Codes(codes, _) => StageSpec::JoinCodes {
-                            fk_slot,
-                            cache: Arc::new(
-                                codes
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(i, &c)| if dim_col.is_valid(i) { c } else { NULL_CODE })
-                                    .collect(),
-                            ),
-                        },
-                        _ => StageSpec::JoinNum {
-                            fk_slot,
-                            vals: Arc::new(
-                                (0..dim_col.len())
-                                    .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
-                                    .collect(),
-                            ),
-                            valid: dim_col.validity().cloned(),
-                        },
-                    })
+                check_stageable(col.name(), dim_col.len())?;
+                let fk_key = (Arc::clone(fact), *fk_idx);
+                let fk_slot = fk_cols
+                    .iter()
+                    .position(|(t, i)| Arc::ptr_eq(t, fact) && i == fk_idx)
+                    .unwrap_or_else(|| {
+                        fk_cols.push(fk_key);
+                        fk_cols.len() - 1
+                    });
+                match dim_col.typed() {
+                    ColumnSlice::Codes(codes, _) => StageSpec::JoinCodes {
+                        fk_slot,
+                        cache: Arc::new(
+                            codes
+                                .iter()
+                                .enumerate()
+                                .map(|(i, &c)| if dim_col.is_valid(i) { c } else { NULL_CODE })
+                                .collect(),
+                        ),
+                    },
+                    _ => StageSpec::JoinNum {
+                        fk_slot,
+                        vals: Arc::new(
+                            (0..dim_col.len())
+                                .map(|i| dim_col.numeric_at(i).unwrap_or(0.0))
+                                .collect(),
+                        ),
+                        valid: dim_col.validity().cloned(),
+                    },
                 }
-            } else if policy == JoinPolicy::Indirect && col.column().validity().is_some() {
-                Access::Virtual
             } else {
                 // Fact column: read in place (natural order) or gathered
                 // (shuffled order); a nullable one folds its validity
                 // bitmap into the morsel mask once.
-                push_stage(StageSpec::Own(ColRef::Table(
-                    Arc::clone(&col.table),
-                    col.col,
-                )))
+                StageSpec::Own(ColRef::Table(Arc::clone(&col.table), col.col))
             };
-            memo.insert(key, access);
-            col.access = access;
+            stages.push(spec);
+            col.slot = stages.len() - 1;
+            memo.insert(key, col.slot);
+            Ok(())
         };
 
         for dim in dims.iter_mut() {
-            assign(dim.col_mut());
+            assign(dim.col_mut())?;
         }
         if let Some(f) = filter {
-            f.for_each_col_mut(&mut assign);
+            f.try_for_each_col_mut(&mut assign)?;
         }
         for m in measures.iter_mut().flatten() {
-            assign(m);
+            assign(m)?;
         }
-        (stages, fk_cols)
+        Ok((stages, fk_cols))
     }
 
     fn compile_dim(dataset: &Dataset, def: &BinDef) -> Result<PlannedDim, CoreError> {
@@ -979,11 +842,7 @@ impl CompiledPlan {
     ) -> StagePhases {
         let mut in_filter = vec![false; stages.len()];
         if let Some(f) = filter {
-            f.for_each_col(&mut |col| {
-                if let Access::Staged { slot, .. } = col.access {
-                    in_filter[slot] = true;
-                }
-            });
+            f.for_each_col(&mut |col| in_filter[col.slot] = true);
         }
         let mut fk_in_filter = vec![false; n_fks];
         let mut fk_in_post = vec![false; n_fks];
@@ -1058,11 +917,6 @@ impl CompiledPlan {
     /// Accumulation mode selected for the binning.
     pub fn acc_mode(&self) -> AccMode {
         self.acc_mode
-    }
-
-    /// The join-access policy this plan was compiled under.
-    pub fn join_policy(&self) -> JoinPolicy {
-        self.policy
     }
 
     /// How many referenced columns are join-accessed (cost-model input).
@@ -1148,13 +1002,13 @@ mod tests {
     fn direct_and_joined_column_access() {
         let c = PlannedColumn::resolve(&denorm(), "dep_delay").unwrap();
         assert!(!c.is_joined());
-        assert_eq!(c.bind().numeric(1), Some(15.0));
+        assert_eq!(c.column().numeric_at(1), Some(15.0));
 
         let j = PlannedColumn::resolve(&star(), "carrier").unwrap();
         assert!(j.is_joined());
-        // Row 0 has carrier_key = 1 → "DL" (code 1 in the dim dictionary).
-        assert_eq!(j.bind().code(0), Some(1));
-        assert_eq!(j.bind().code(1), Some(0));
+        // The dimension's own column, in dimension-row order (AA, DL); the
+        // plan reaches it through the fact table's carrier_key.
+        assert_eq!(j.column().as_nominal().unwrap().0, &[0, 1]);
     }
 
     #[test]
@@ -1359,10 +1213,7 @@ mod tests {
             StageSpec::Own(ColRef::Owned(m)) => Arc::clone(m),
             other => panic!("materialized → its own flat slot, got {other:?}"),
         };
-        assert!(matches!(
-            plan.dims[0].col().access,
-            Access::Staged { slot: 0 }
-        ));
+        assert_eq!(plan.dims[0].col().slot, 0);
         let mat = materialized(&plan);
         assert_eq!(mat.as_nominal().unwrap().0, &[1, 0], "fact-ordered codes");
         assert!(plan.fk_cols.is_empty(), "no per-morsel FK staging");
@@ -1383,8 +1234,8 @@ mod tests {
         let ds = star_capped(0);
         let plan = CompiledPlan::compile(&ds, &nominal_query()).unwrap();
         let col = plan.dims[0].col();
-        assert!(
-            matches!(col.access, Access::Staged { slot: 0 }),
+        assert_eq!(
+            col.slot, 0,
             "declined materialization stages through the FK"
         );
         assert_eq!(plan.fk_cols.len(), 1, "one staged FK column");
@@ -1445,19 +1296,11 @@ mod tests {
     }
 
     #[test]
-    fn indirect_policy_keeps_virtual_access() {
-        let ds = star();
-        let plan = CompiledPlan::compile_with(&ds, &nominal_query(), JoinPolicy::Indirect).unwrap();
-        assert!(matches!(plan.dims[0].col().access, Access::Virtual));
-        // Only the fact measure is a stage slot; no FK is staged.
-        assert!(matches!(
-            &plan.stages[..],
-            [StageSpec::Own(ColRef::Table(..))]
-        ));
-        assert!(plan.fk_cols.is_empty());
-        assert_eq!(plan.join_policy(), JoinPolicy::Indirect);
-        // No materialization was even attempted.
-        assert_eq!(ds.as_star().unwrap().join_cache_stats().misses, 0);
+    fn oversized_dimensions_are_unsupported_not_staged() {
+        assert!(check_stageable("carrier", u32::MAX as usize - 1).is_ok());
+        let err = check_stageable("carrier", u32::MAX as usize).unwrap_err();
+        assert!(matches!(err, CoreError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains("carrier"), "{err}");
     }
 
     #[test]
@@ -1492,14 +1335,8 @@ mod tests {
         );
         let plan = CompiledPlan::compile(&ds, &Query::for_viz(&spec, None)).unwrap();
         assert_eq!(plan.stages.len(), 1, "dim and measure share the stage");
-        assert!(matches!(
-            plan.dims[0].col().access,
-            Access::Staged { slot: 0 }
-        ));
-        assert!(matches!(
-            plan.measures[0].as_ref().unwrap().access,
-            Access::Staged { slot: 0 }
-        ));
+        assert_eq!(plan.dims[0].col().slot, 0);
+        assert_eq!(plan.measures[0].as_ref().unwrap().slot, 0);
     }
 
     fn int_width_plan(vals: &[i64], width: f64, anchor: f64) -> CompiledPlan {

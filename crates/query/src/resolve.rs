@@ -2,7 +2,7 @@
 //! following star-schema foreign keys when necessary.
 
 use idebench_core::{CoreError, Query};
-use idebench_storage::{Column, Dataset, Table};
+use idebench_storage::{Column, Dataset};
 
 /// A query column bound to physical storage.
 ///
@@ -45,14 +45,6 @@ impl<'a> ResolvedColumn<'a> {
                 })
             }
         }
-    }
-
-    /// Resolves `name` against a bare table (used for sample tables).
-    pub fn on_table(table: &'a Table, name: &str) -> Result<Self, CoreError> {
-        Ok(ResolvedColumn {
-            column: table.column(name)?,
-            fk: None,
-        })
     }
 
     /// Whether this column is reached through a foreign key (join access).
@@ -104,33 +96,14 @@ impl<'a> ResolvedColumn<'a> {
     pub fn column(&self) -> &'a Column {
         self.column
     }
-
-    /// Binds to typed slices for batch-kernel evaluation.
-    pub(crate) fn bind(&self) -> crate::plan::BoundColumn<'a> {
-        crate::plan::BoundColumn {
-            data: self.column.typed(),
-            validity: self.column.validity(),
-            fk: self.fk,
-        }
-    }
-
-    /// The column as the morsel kernels see it: flat direct slices when no
-    /// join or validity stands in the way, the per-row virtualized
-    /// accessor otherwise (this borrow-based path never stages).
-    pub(crate) fn view(&self) -> crate::plan::ColView<'a> {
-        if self.fk.is_none() && self.column.validity().is_none() {
-            crate::plan::ColView::direct(self.column.typed())
-        } else {
-            crate::plan::ColView::Virtual(self.bind())
-        }
-    }
 }
 
 /// A fully-resolved query: compiled filter, binning and measure accessors,
 /// valid for the lifetime of the dataset borrow.
 ///
-/// Resolution is cheap (name lookups); engines re-resolve inside each
-/// `step()` call so query handles can remain `'static`.
+/// This is the row-at-a-time reference path behind
+/// [`crate::execute_exact_scalar`], the oracle the vectorized
+/// [`crate::CompiledPlan`] path is tested against.
 pub struct ResolvedQuery<'a> {
     /// Compiled filter; `None` means all rows match.
     pub filter: Option<crate::filter::CompiledFilter<'a>>,
